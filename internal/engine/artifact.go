@@ -171,7 +171,7 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	}
 	ns := &snapshot{cls: cls, set: set, version: cur.version + 1, backend: meta.Backend, build: build, baseCls: cls}
 	if e.updaterOn {
-		base, err := newBase(cls, set)
+		base, err := updater.NewBase(set, cls.Classify, cls.ClassifyBatch)
 		if err != nil {
 			return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
 		}

@@ -36,12 +36,7 @@ import (
 )
 
 // Result is the outcome of classifying one packet in a batch.
-type Result struct {
-	// Rule is the highest-priority matching rule when OK is true.
-	Rule rule.Rule
-	// OK reports whether any rule matched.
-	OK bool
-}
+type Result = rule.Result
 
 // Metrics is the backend-independent cost summary every classifier reports.
 // Fields that do not apply to a backend are zero (e.g. Entries for linear

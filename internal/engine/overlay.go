@@ -10,13 +10,14 @@ import (
 
 // This file wires the delta-overlay update subsystem (internal/updater)
 // into the Engine. With Options.OnlineUpdates (or a JournalPath) set,
-// Insert/Delete no longer rebuild the backend: the update lands in a small
-// TSS overlay (inserts) or a tombstone set (deletes), a fresh immutable
-// View is derived and published through the usual RCU snapshot swap, and a
-// background compactor goroutine folds the overlay back into a rebuilt base
-// off the critical path. Every update is journaled (when a journal is
-// configured) before its snapshot is published, so acknowledged updates
-// survive a crash and replay at the next warm start.
+// Insert/Delete no longer rebuild the backend: the update lands in the
+// overlay's priority-ordered pending-rule list (inserts) or a tombstone set
+// (deletes), a fresh immutable View is derived and published through the
+// usual RCU snapshot swap, and a background compactor goroutine folds the
+// overlay back into a rebuilt base off the critical path. Every update is
+// journaled (when a journal is configured) before its snapshot is
+// published, so acknowledged updates survive a crash and replay at the next
+// warm start.
 
 // DefaultCompactThreshold is the pending-update count (overlay rules plus
 // tombstones) at which background compaction kicks in when
@@ -33,76 +34,14 @@ type overlayClassifier struct {
 
 func (o *overlayClassifier) Classify(p rule.Packet) (rule.Rule, bool) { return o.view.Classify(p) }
 
-// overlayScratch stages one batch's merged results in the updater's
-// parallel-array shape before they are folded into the engine's []Result.
-type overlayScratch struct {
-	rules []rule.Rule
-	oks   []bool
-	// out stages the backend's []Result when this scratch serves the base
-	// batch adapter in newBase (sized lazily there).
-	out []Result
-}
-
-// overlayScratches recycles overlay batch scratches — a buffered channel
-// rather than sync.Pool for the same race-determinism reason as idxBufs.
-var overlayScratches = make(chan *overlayScratch, 64)
-
-func getOverlayScratch(n int) *overlayScratch {
-	var sc *overlayScratch
-	select {
-	case sc = <-overlayScratches:
-	default:
-		sc = new(overlayScratch)
-	}
-	if cap(sc.rules) < n {
-		sc.rules = make([]rule.Rule, n)
-		sc.oks = make([]bool, n)
-	}
-	return sc
-}
-
-func putOverlayScratch(sc *overlayScratch) {
-	select {
-	case overlayScratches <- sc:
-	default:
-	}
-}
-
 // ClassifyBatch serves the span through the updater view's batched merge, so
 // the base lookups underneath run as one backend batch (the grouped compiled
 // traversal for tree backends) instead of one packet at a time.
 func (o *overlayClassifier) ClassifyBatch(ps []rule.Packet, out []Result) {
-	sc := getOverlayScratch(len(ps))
-	rules, oks := sc.rules[:len(ps)], sc.oks[:len(ps)]
-	o.view.ClassifyBatch(ps, rules, oks)
-	for i := range ps {
-		out[i].Rule, out[i].OK = rules[i], oks[i]
-	}
-	putOverlayScratch(sc)
+	o.view.ClassifyBatch(ps, out)
 }
 
 func (o *overlayClassifier) Metrics() Metrics { return o.m }
-
-// newBase wraps a built classifier as an overlay base, handing the updater
-// both the scalar and the batched lookup so merged views can classify spans
-// through the backend's batch path.
-func newBase(cls Classifier, set *rule.Set) (*updater.Base, error) {
-	batch := func(ps []rule.Packet, rules []rule.Rule, oks []bool) {
-		sc := getOverlayScratch(len(ps))
-		// getOverlayScratch only sizes rules/oks; the Result staging area
-		// rides alongside so the base batch reuses the same freelist.
-		if cap(sc.out) < len(ps) {
-			sc.out = make([]Result, len(ps))
-		}
-		out := sc.out[:len(ps)]
-		cls.ClassifyBatch(ps, out)
-		for i := range out {
-			rules[i], oks[i] = out[i].Rule, out[i].OK
-		}
-		putOverlayScratch(sc)
-	}
-	return updater.NewBaseBatch(set, cls.Classify, batch)
-}
 
 // initUpdater turns the freshly built engine into an overlay-updating one:
 // it derives the base from the current snapshot, opens and replays the
@@ -120,7 +59,7 @@ func (e *Engine) initUpdater() error {
 	}
 
 	cur := e.snap.Load()
-	base, err := newBase(cur.baseCls, cur.set)
+	base, err := updater.NewBase(cur.set, cur.baseCls.Classify, cur.baseCls.ClassifyBatch)
 	if err != nil {
 		return err
 	}
@@ -174,27 +113,9 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	}
 	view, err := updater.NewView(cur.base, merged)
 	if err != nil {
-		// The replayed delta does not fit the overlay (rank-space or TSS
-		// expansion limits): fold it into a full rebuild instead.
-		if cur.build == nil {
-			return fmt.Errorf("engine: journal replay needs a rebuild but backend %q is not registered: %w", cur.backend, err)
-		}
-		cls, berr := cur.build(merged, e.opts)
-		if berr != nil {
-			return fmt.Errorf("engine: rebuild during journal replay: %w", berr)
-		}
-		base, berr := newBase(cls, merged)
-		if berr != nil {
-			return berr
-		}
-		e.snap.Store(&snapshot{cls: cls, baseCls: cls, set: merged,
-			version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: base})
-	} else {
-		m := cur.baseCls.Metrics()
-		m.Rules = merged.Len()
-		e.snap.Store(&snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-			set: merged, version: cur.version + uint64(len(ops)), backend: cur.backend, build: cur.build, base: cur.base})
+		return err
 	}
+	e.snap.Store(overlaySnapshot(view, cur.baseCls, cur, cur.version+uint64(len(ops))))
 	if maxID >= e.nextID {
 		e.nextID = maxID + 1
 	}
@@ -203,34 +124,14 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 }
 
 // applyOverlayLocked publishes one update through the overlay path: derive
-// the next view, journal the op, swap the snapshot. When the view cannot be
-// derived (rank space exhausted, or a rule the TSS overlay cannot hold) the
-// update falls back to a synchronous rebuild, which also resets the base.
-// Caller holds e.mu.
+// the next view, journal the op, swap the snapshot. Caller holds e.mu.
 func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op) (UpdateResult, error) {
 	fail := UpdateResult{Version: cur.version, Rules: cur.set.Len()}
-	var ns *snapshot
-	view, verr := updater.NewView(cur.base, next)
-	if verr == nil {
-		m := cur.baseCls.Metrics()
-		m.Rules = next.Len()
-		ns = &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cur.baseCls,
-			set: next, version: cur.version + 1, backend: cur.backend, build: cur.build, base: cur.base}
-	} else {
-		if cur.build == nil {
-			return fail, fmt.Errorf("engine: overlay update unavailable and backend %q is not registered for rebuild: %w", cur.backend, verr)
-		}
-		cls, err := cur.build(next, e.opts)
-		if err != nil {
-			return fail, fmt.Errorf("engine: rebuild after overlay fallback (%v): %w", verr, err)
-		}
-		base, err := newBase(cls, next)
-		if err != nil {
-			return fail, err
-		}
-		ns = &snapshot{cls: cls, baseCls: cls, set: next,
-			version: cur.version + 1, backend: cur.backend, build: cur.build, base: base}
+	view, err := updater.NewView(cur.base, next)
+	if err != nil {
+		return fail, err
 	}
+	ns := overlaySnapshot(view, cur.baseCls, cur, cur.version+1)
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
@@ -240,6 +141,16 @@ func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op
 	e.publishSnap(ns)
 	e.afterOverlayPublish(ns)
 	return UpdateResult{ID: op.ID, Version: ns.version, Rules: next.Len()}, nil
+}
+
+// overlaySnapshot is the snapshot serving view over its base classifier
+// baseCls, at the given version; the backend and its builder carry over
+// from prev.
+func overlaySnapshot(view *updater.View, baseCls Classifier, prev *snapshot, version uint64) *snapshot {
+	m := baseCls.Metrics()
+	m.Rules = view.Merged().Len()
+	return &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: baseCls, set: view.Merged(),
+		version: version, backend: prev.backend, build: prev.build, base: view.Base()}
 }
 
 // afterOverlayPublish maintains the compaction triggers after a snapshot
@@ -353,7 +264,7 @@ func (e *Engine) compactOnce() {
 		// this build; the next signal compacts against the new base.
 		return
 	}
-	base, err := newBase(cls, frozen)
+	base, err := updater.NewBase(frozen, cls.Classify, cls.ClassifyBatch)
 	if err != nil {
 		e.noteCompactFailure(err)
 		return
@@ -369,10 +280,7 @@ func (e *Engine) compactOnce() {
 			e.noteCompactFailure(verr)
 			return
 		}
-		m := cls.Metrics()
-		m.Rules = now.set.Len()
-		ns = &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: cls,
-			set: now.set, version: now.version + 1, backend: now.backend, build: now.build, base: base}
+		ns = overlaySnapshot(view, cls, now, now.version+1)
 	}
 	e.publishSnap(ns)
 	e.compactions.Add(1)
@@ -412,7 +320,7 @@ func (e *Engine) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("engine: compacting: %w", err)
 	}
-	base, err := newBase(cls, cur.set)
+	base, err := updater.NewBase(cur.set, cls.Classify, cls.ClassifyBatch)
 	if err != nil {
 		return err
 	}

@@ -60,8 +60,8 @@ type Options struct {
 	// as an escape hatch; compiled is the default serve path.
 	LegacyTreeLookup bool
 	// OnlineUpdates routes Insert/Delete through the delta-overlay update
-	// subsystem (internal/updater): inserts land in a small TSS overlay,
-	// deletes become tombstones, and a background compactor folds the delta
+	// subsystem (internal/updater): inserts land in a small priority-ordered
+	// overlay list, deletes become tombstones, and a background compactor folds the delta
 	// into a rebuilt base off the critical path. Without it every update
 	// rebuilds the backend synchronously.
 	OnlineUpdates bool

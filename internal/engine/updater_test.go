@@ -80,11 +80,12 @@ func TestOverlayUpdatesNeverBuild(t *testing.T) {
 }
 
 // TestOverlayDifferential interleaves 1k updates with 12k ClassBench
-// packets and checks every lookup against linear search over the engine's
-// current merged rule list — for a compiled tree base and for tss and
-// linear bases, with background compaction live (threshold 64) so both the
-// fast path and the tombstoned-winner rescan are exercised across base
-// generations.
+// packets and checks every lookup, single and batched, against linear
+// search over the engine's current merged rule list — for a compiled tree
+// base and for tss and linear bases, with background compaction live
+// (threshold 64) so both the fast path and the tombstoned-winner rescan are
+// exercised across base generations. Each update is followed by one batch
+// over the next 12 packets.
 func TestOverlayDifferential(t *testing.T) {
 	for _, backend := range []string{"hicuts", "tss", "linear"} {
 		t.Run(backend, func(t *testing.T) {
@@ -97,10 +98,13 @@ func TestOverlayDifferential(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(42))
 			trace := classbench.GenerateTrace(set, 12000, 17)
+			const span = 12
+			ps := make([]rule.Packet, span)
+			batch := make([]Result, span)
 			var inserted []int
 			updates := 0
 			for i, e := range trace {
-				if i%12 == 0 && updates < 1000 {
+				if i%span == 0 && updates < 1000 {
 					if len(inserted) > 0 && rng.Intn(3) == 0 {
 						k := rng.Intn(len(inserted))
 						id := inserted[k]
@@ -119,6 +123,13 @@ func TestOverlayDifferential(t *testing.T) {
 					updates++
 				}
 				merged := eng.Rules()
+				if i%span == 0 {
+					clear(batch) // stale results must not survive
+					for j := range ps {
+						ps[j] = trace[i+j].Key
+					}
+					eng.ClassifyBatch(ps, batch)
+				}
 				want := merged.MatchIndex(e.Key)
 				got, ok := eng.Classify(e.Key)
 				if (want < 0) != !ok {
@@ -126,6 +137,9 @@ func TestOverlayDifferential(t *testing.T) {
 				}
 				if ok && got.Priority != want {
 					t.Fatalf("packet %d (%v): got priority %d, want %d", i, e.Key, got.Priority, want)
+				}
+				if b := batch[i%span]; b.OK != ok || (ok && b.Rule.Priority != want) {
+					t.Fatalf("packet %d (%v): batch got (%d,%v), want priority %d", i, e.Key, b.Rule.Priority, b.OK, want)
 				}
 			}
 			if updates < 1000 {
@@ -518,7 +532,9 @@ func TestSaveArtifactCompactsAndRotates(t *testing.T) {
 // TestOverlayUnregisteredBackendStillUpdates: an artifact-served engine
 // whose backend is not registered rejects rebuild-path updates but accepts
 // overlay updates when the updater is on — updates no longer require the
-// build path at all.
+// build path at all. The inputs include a wide-range rule whose ranges
+// expand into more prefix combinations than a prefix-keyed structure holds;
+// it must still land in the overlay.
 func TestOverlayUnregisteredBackendStillUpdates(t *testing.T) {
 	set := artifactTestSet(t, 120)
 	path := saveTestArtifact(t, set, "no-such-backend-overlay", t.TempDir())
@@ -527,15 +543,31 @@ func TestOverlayUnregisteredBackendStillUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := eng.Insert(0, rule.NewWildcardRule(0))
-	if err != nil {
-		t.Fatalf("overlay insert on unregistered backend: %v", err)
-	}
-	if r, ok := eng.Classify(rule.Packet{Proto: 99}); !ok || r.ID != res.ID {
-		t.Fatalf("inserted wildcard not winning: %v %v", r, ok)
-	}
-	if _, err := eng.Delete(res.ID); err != nil {
-		t.Fatal(err)
+	wide := rule.NewWildcardRule(0)
+	wide.Ranges[rule.DimSrcIP] = rule.Range{Lo: 1, Hi: 1<<32 - 2}
+	wide.Ranges[rule.DimDstIP] = rule.Range{Lo: 1, Hi: 1<<32 - 2}
+	wide.Ranges[rule.DimSrcPort] = rule.Range{Lo: 1, Hi: 65534}
+	for name, r := range map[string]rule.Rule{"wildcard": rule.NewWildcardRule(0), "wide-range": wide} {
+		res, err := eng.Insert(0, r)
+		if err != nil {
+			t.Fatalf("%s: overlay insert on unregistered backend: %v", name, err)
+		}
+		if st := eng.UpdaterStats(); st.OverlayRules != 1 {
+			t.Fatalf("%s: OverlayRules = %d, want 1", name, st.OverlayRules)
+		}
+		if got, ok := eng.Classify(rule.Packet{SrcIP: 7, DstIP: 7, SrcPort: 7, Proto: 99}); !ok || got.ID != res.ID {
+			t.Fatalf("%s: inserted rule not winning: %v %v", name, got, ok)
+		}
+		merged := eng.Rules()
+		for _, e := range classbench.GenerateTrace(merged, 500, 5) {
+			want := merged.MatchIndex(e.Key)
+			if got, ok := eng.Classify(e.Key); (want < 0) != !ok || (ok && got.Priority != want) {
+				t.Fatalf("%s: packet %v: got (%d,%v), want priority %d", name, e.Key, got.Priority, ok, want)
+			}
+		}
+		if _, err := eng.Delete(res.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -134,4 +134,22 @@ func TestMeasureUpdateSpeedup(t *testing.T) {
 	if v := CheckUpdateSpeedup(res, res.Factor*2); v == "" {
 		t.Fatal("unattainable factor not flagged")
 	}
+	if res.EmptyLookupNanos <= 0 || res.PendingLookupNanos <= 0 || res.LookupRatio <= 0 {
+		t.Fatalf("overlay lookup not measured: %+v", res)
+	}
+}
+
+// TestCheckOverlayLookup: the full-overlay lookup bound flags ratios above
+// MaxOverlayLookupRatio and passes those at or below it.
+func TestCheckOverlayLookup(t *testing.T) {
+	for _, tc := range []struct {
+		ratio float64
+		flag  bool
+	}{{1, false}, {MaxOverlayLookupRatio, false}, {MaxOverlayLookupRatio + 0.5, true}, {250, true}} {
+		r := UpdateSpeedup{Family: "acl1", Size: 2000, Backend: "hicuts",
+			EmptyLookupNanos: 100, PendingLookupNanos: 100 * tc.ratio, LookupRatio: tc.ratio}
+		if v := CheckOverlayLookup(r); (v != "") != tc.flag {
+			t.Errorf("ratio %.1f: violation %q, want flagged=%v", tc.ratio, v, tc.flag)
+		}
+	}
 }

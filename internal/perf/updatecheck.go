@@ -7,7 +7,20 @@ import (
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
+	"neurocuts/internal/rule"
 )
+
+// MaxOverlayLookupRatio bounds what pending updates may cost lookups: with
+// engine.DefaultCompactThreshold-1 distinct pending inserts (the most the
+// overlay holds before background compaction starts), the batch lookup p50
+// may be at most this many times the empty-overlay p50. On acl1 2k-rule
+// hicuts (2 cores) ten runs measured 7.9–15.8x; the bound leaves 2x
+// headroom over the worst. A prefix-expanding Tuple Space Search overlay
+// measured ~265x on the same cell.
+const MaxOverlayLookupRatio = 32
+
+// overlayLookupBatch is the batch size of the overlay lookup measurement.
+const overlayLookupBatch = 256
 
 // UpdateSpeedup is the outcome of the update-heavy bench gate: the same
 // single-rule update workload measured against the delta-overlay write path
@@ -25,6 +38,13 @@ type UpdateSpeedup struct {
 	RebuildP50Nanos float64 `json:"rebuild_p50_nanos"`
 	// Factor is RebuildP50Nanos / OverlayP50Nanos.
 	Factor float64 `json:"factor"`
+	// EmptyLookupNanos and PendingLookupNanos are the per-packet batch
+	// lookup p50 on the overlay engine with an empty overlay and with
+	// engine.DefaultCompactThreshold-1 distinct pending inserts.
+	EmptyLookupNanos   float64 `json:"empty_lookup_p50_nanos"`
+	PendingLookupNanos float64 `json:"pending_lookup_p50_nanos"`
+	// LookupRatio is PendingLookupNanos / EmptyLookupNanos.
+	LookupRatio float64 `json:"lookup_ratio"`
 }
 
 // MeasureUpdateSpeedup builds the backend twice over the same generated
@@ -33,7 +53,8 @@ type UpdateSpeedup struct {
 // per-update latencies. Background compaction is disabled on the overlay
 // engine so the measurement isolates the write path itself (a compaction
 // would only make the rebuild side look better anyway, as it runs off the
-// measured path).
+// measured path). A third build, with the same overlay options, times
+// batch lookups before and after filling the overlay.
 func MeasureUpdateSpeedup(family string, size int, backend string, updates int, cfg RunConfig) (UpdateSpeedup, error) {
 	cfg = cfg.WithDefaults()
 	if updates <= 0 {
@@ -60,7 +81,64 @@ func MeasureUpdateSpeedup(family string, size int, backend string, updates int, 
 	if res.OverlayP50Nanos > 0 {
 		res.Factor = res.RebuildP50Nanos / res.OverlayP50Nanos
 	}
+	res.EmptyLookupNanos, res.PendingLookupNanos, err = measureOverlayLookup(backend, fam, size, cfg.Seed, overlayOpts)
+	if err != nil {
+		return res, fmt.Errorf("perf: overlay lookup measurement: %w", err)
+	}
+	if res.EmptyLookupNanos > 0 {
+		res.LookupRatio = res.PendingLookupNanos / res.EmptyLookupNanos
+	}
 	return res, nil
+}
+
+// measureOverlayLookup returns the per-packet batch lookup p50 of a freshly
+// built engine, first with an empty overlay and then with
+// engine.DefaultCompactThreshold-1 distinct pending inserts (copies of
+// distinct base rules at rotating positions). opts must disable background
+// compaction so the overlay stays full while it is measured.
+func measureOverlayLookup(backend string, fam classbench.Family, size int, seed int64, opts engine.Options) (empty, pending float64, err error) {
+	set := classbench.Generate(fam, size, seed)
+	eng, err := engine.NewEngine(backend, set, opts)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer eng.Close()
+	trace := classbench.GenerateTrace(set, 16*overlayLookupBatch, seed)
+	ps := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		ps[i] = e.Key
+	}
+	out := make([]engine.Result, overlayLookupBatch)
+	p50 := func() float64 {
+		const rounds = 4
+		durations := make([]int64, 0, rounds*len(ps)/overlayLookupBatch)
+		for r := 0; r <= rounds; r++ { // round 0 warms up unmeasured
+			for off := 0; off < len(ps); off += overlayLookupBatch {
+				t0 := time.Now()
+				eng.ClassifyBatch(ps[off:off+overlayLookupBatch], out)
+				if r > 0 {
+					durations = append(durations, time.Since(t0).Nanoseconds())
+				}
+			}
+		}
+		sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
+		return percentile(durations, 0.50) / overlayLookupBatch
+	}
+
+	empty = p50()
+	inserts := engine.DefaultCompactThreshold - 1
+	for i := 0; i < inserts; i++ {
+		// 7919 is prime, so the copied base rules are distinct whenever the
+		// set has at least `inserts` rules.
+		r := set.Rule((i * 7919) % set.Len())
+		if _, err := eng.Insert((i*37)%(eng.Rules().Len()+1), r); err != nil {
+			return 0, 0, err
+		}
+	}
+	if n := eng.UpdaterStats().OverlayRules; n != inserts {
+		return 0, 0, fmt.Errorf("overlay holds %d of %d pending inserts", n, inserts)
+	}
+	return empty, p50(), nil
 }
 
 // measureUpdateP50 applies `updates` alternating inserts and deletes to a
@@ -107,6 +185,20 @@ func measureUpdateP50(backend string, fam classbench.Family, size int, seed int6
 	}
 	sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 	return percentile(durations, 0.50), nil
+}
+
+// CheckOverlayLookup asserts that pending updates keep lookups cheap: the
+// batch lookup p50 with a full overlay must stay within
+// MaxOverlayLookupRatio of the empty-overlay p50. It returns a violation
+// message when it does not.
+func CheckOverlayLookup(r UpdateSpeedup) (violation string) {
+	if r.LookupRatio > MaxOverlayLookupRatio {
+		return fmt.Sprintf(
+			"%s_%d_%s: batch lookup p50 with %d pending inserts %.0fns/pkt is %.1fx the empty-overlay p50 %.0fns/pkt (want <= %dx)",
+			r.Family, r.Size, r.Backend, engine.DefaultCompactThreshold-1, r.PendingLookupNanos, r.LookupRatio,
+			r.EmptyLookupNanos, MaxOverlayLookupRatio)
+	}
+	return ""
 }
 
 // CheckUpdateSpeedup asserts the update subsystem's headline claim: the

@@ -227,6 +227,14 @@ type Rule struct {
 	ID int
 }
 
+// Result is the outcome of classifying one packet in a batch.
+type Result struct {
+	// Rule is the highest-priority matching rule when OK is true.
+	Rule Rule
+	// OK reports whether any rule matched.
+	OK bool
+}
+
 // NewWildcardRule returns a rule that matches every packet.
 func NewWildcardRule(priority int) Rule {
 	var r Rule

@@ -451,12 +451,10 @@ func (s *Server) handleV1(conn *servedConn, br *bufio.Reader, w *bufio.Writer) {
 		} else {
 			ok = s.serveLine(scanner, w, line)
 		}
-		draining := conn.endRequest()
-		if !ok {
-			return
-		}
-		if draining {
-			w.Flush()
+		// Flush only after the request is recorded, so a client that has
+		// read its reply also finds it in the telemetry.
+		ok = ok && w.Flush() == nil
+		if conn.endRequest() || !ok {
 			return
 		}
 	}
@@ -489,7 +487,8 @@ func (s *Server) statsLine(cls Classifier) string {
 }
 
 // serveLine answers one request line (reading a batch body from the
-// scanner when needed) and reports whether the connection is still usable.
+// scanner when needed) into w, unflushed, and reports whether the
+// connection is still usable.
 func (s *Server) serveLine(scanner *bufio.Scanner, w *bufio.Writer, line string) bool {
 	cls, err := s.v1Classifier()
 	if err != nil {
@@ -516,13 +515,11 @@ func (s *Server) serveLine(scanner *bufio.Scanner, w *bufio.Writer, line string)
 	return writeLine(w, s.respond(cls, line))
 }
 
-// writeLine writes one response line, reporting whether the connection is
+// writeLine buffers one response line, reporting whether the connection is
 // still usable.
 func writeLine(w *bufio.Writer, resp string) bool {
-	if _, err := w.WriteString(resp + "\n"); err != nil {
-		return false
-	}
-	return w.Flush() == nil
+	_, err := w.WriteString(resp + "\n")
+	return err == nil
 }
 
 // parseBatchHeader recognises "batch <n>" requests.
@@ -587,11 +584,11 @@ func (s *Server) handleBatch(scanner *bufio.Scanner, w *bufio.Writer, cls Classi
 			s.matches.Add(1)
 			resp = fmt.Sprintf("match %d priority %d", out[i].Rule.ID, out[i].Rule.Priority)
 		}
-		if _, err := w.WriteString(resp + "\n"); err != nil {
+		if !writeLine(w, resp) {
 			return false
 		}
 	}
-	return w.Flush() == nil
+	return true
 }
 
 // respondAdd handles "add <pos> @<rule>": parse the ClassBench rule line and

@@ -55,16 +55,9 @@ type Classifier struct {
 	entryCount int
 }
 
-// NewClassifier returns an empty TSS classifier ready for incremental
-// Insert. The delta-overlay update path (internal/updater) builds small
-// overlays this way instead of going through Build.
-func NewClassifier() *Classifier {
-	return &Classifier{byKey: map[tupleKey]*tuple{}}
-}
-
 // Build constructs a TSS classifier from a rule set.
 func Build(s *rule.Set) (*Classifier, error) {
-	c := NewClassifier()
+	c := &Classifier{byKey: map[tupleKey]*tuple{}}
 	for _, r := range s.Rules() {
 		if err := c.Insert(r); err != nil {
 			return nil, fmt.Errorf("tss: inserting rule %d: %w", r.Priority, err)

@@ -3,27 +3,22 @@
 // O(full build + compile) per rule), updates land in a small delta overlay
 // on top of an immutable base classifier.
 //
-// The split is the classic base+delta design TSS-style classifiers use
-// around build-once tree structures:
+// The split is the classic base+delta design used around build-once tree
+// structures:
 //
-//   - Inserts go into a Tuple Space Search overlay (O(1)-ish hash inserts,
-//     no tree rebuild).
-//   - Deletes of base rules become tombstones (a bitset over base rule
-//     indices); deletes of overlay rules simply leave the overlay.
-//   - A merged lookup consults overlay + tombstones + base and resolves
-//     the winner by a global priority rank, staying allocation-free. The
-//     base winner is checked against the tombstone set; only when the
-//     winner was deleted does the lookup rescan the base list (see
-//     LookupFunc for why that cannot be pushed into the base structure).
+//   - Inserts go into the overlay: the pending rules kept in priority order
+//     (no tree rebuild, no per-rule index structure).
+//   - Deletes of base rules become tombstones; deletes of overlay rules
+//     simply leave the overlay.
+//   - A merged lookup takes the base winner first, checking it against the
+//     tombstones (only a deleted winner makes the lookup rescan the base
+//     list, see LookupFunc for why that cannot be pushed into the base
+//     structure), then scans the overlay and stops at the first match or
+//     at the base winner's priority. It stays allocation-free.
 //
-// Rank scheme: the base rule at index i anchors at rank (i+1)*rankGap, and
-// every overlay rule receives a rank strictly between its merged-order
-// neighbours' ranks (evenly spaced within the gap). Ranks are re-derived on
-// every update from the logical merged rule list, so a View is a pure
-// function of (base, merged list) — the same derivation serves normal
-// updates, journal replay and post-compaction rebasing. A winner's rank maps
-// back to its canonical merged rule (with its up-to-date index priority) by
-// binary search over the per-View rank array.
+// A rule's rank is its index in the merged (logical) rule list. A View is a
+// pure function of (base, merged list), so the same derivation serves
+// normal updates, journal replay and post-compaction rebasing.
 //
 // Views are immutable: the engine publishes each new View through its
 // RCU snapshot machinery, so concurrent readers never see a torn update and
@@ -39,30 +34,9 @@ package updater
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"neurocuts/internal/rule"
-	"neurocuts/internal/tss"
 )
-
-// rankGap is the rank distance between consecutive base rules. Up to
-// rankGap-1 overlay rules fit between two adjacent base anchors before rank
-// space is exhausted; compaction keeps overlays orders of magnitude
-// smaller. Ranks are carried through rule.Priority inside the overlay TSS
-// (an int), so the gap also bounds the base size on 32-bit platforms:
-// (len+1)*rankGap must fit a platform int (~32k base rules at 1<<16 on
-// 32-bit; unbounded in practice on 64-bit). NewView checks this and errors
-// rather than overflowing, which makes the engine fall back to
-// rebuild-per-update.
-const rankGap = int64(1) << 16
-
-// maxIntRank is the largest rank representable in a platform int.
-const maxIntRank = int64(^uint(0) >> 1)
-
-// ErrRankSpace is returned by NewView when the overlay rules between two
-// adjacent base anchors no longer fit in the rank gap. The caller should
-// compact (rebuild the base from the merged list) and retry.
-var ErrRankSpace = errors.New("updater: rank space exhausted between base anchors; compaction required")
 
 // LookupFunc is a base classifier's single-packet lookup. The returned
 // rule's Priority must be its index in the base rule set, and the lookup
@@ -76,12 +50,12 @@ var ErrRankSpace = errors.New("updater: rank space exhausted between base anchor
 type LookupFunc func(p rule.Packet) (rule.Rule, bool)
 
 // BatchLookupFunc is a base classifier's batched lookup: it classifies
-// ps[i] into (rules[i], oks[i]) for every i. It must be result-identical to
-// len(ps) LookupFunc calls and carries the same soundness contract (full
-// base list, tombstoned rules included). Bases built from the engine's
-// compiled tree backends route this through the grouped prefetching
-// traversal, which is why View.ClassifyBatch exists at all.
-type BatchLookupFunc func(ps []rule.Packet, rules []rule.Rule, oks []bool)
+// ps[i] into out[i] for every i. It must be result-identical to len(ps)
+// LookupFunc calls and carries the same soundness contract (full base list,
+// tombstoned rules included). Bases built from the engine's compiled tree
+// backends route this through the grouped prefetching traversal, which is
+// why View.ClassifyBatch exists at all.
+type BatchLookupFunc func(ps []rule.Packet, out []rule.Result)
 
 // Base is one immutable base generation: a built classifier, the rule set
 // it was built over, and the ID->index mapping Views need. It is shared by
@@ -97,8 +71,9 @@ type Base struct {
 
 // NewBase wraps a built classifier as an overlay base. The set must be in
 // canonical form (rule i has Priority i), which every engine-built and
-// artifact-loaded set satisfies.
-func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
+// artifact-loaded set satisfies. batch may be nil, in which case
+// View.ClassifyBatch degrades to scalar lookups.
+func NewBase(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")
 	}
@@ -112,26 +87,11 @@ func NewBase(set *rule.Set, lookup LookupFunc) (*Base, error) {
 		}
 		idx[r.ID] = i
 	}
-	return &Base{lookup: lookup, set: set, indexByID: idx}, nil
-}
-
-// NewBaseBatch is NewBase with an additional batched base lookup, which
-// View.ClassifyBatch uses to classify whole spans against the base in one
-// call. batch may be nil, in which case batches degrade to scalar lookups.
-func NewBaseBatch(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
-	b, err := NewBase(set, lookup)
-	if err != nil {
-		return nil, err
-	}
-	b.batch = batch
-	return b, nil
+	return &Base{lookup: lookup, batch: batch, set: set, indexByID: idx}, nil
 }
 
 // Set returns the base's rule set.
 func (b *Base) Set() *rule.Set { return b.set }
-
-// baseRank is the rank anchor of the base rule at index i.
-func baseRank(i int) int64 { return int64(i+1) * rankGap }
 
 // View is one immutable merged (base + overlay + tombstones) generation.
 // All fields are read-only after NewView; lookups are safe for concurrent
@@ -141,98 +101,41 @@ type View struct {
 	// merged is the logical rule list this view serves (priorities are
 	// indices, as everywhere else in the repository).
 	merged *rule.Set
-	// ranks[i] is the rank of merged rule i; strictly ascending.
-	ranks []int64
-	// overlay holds the non-base rules, each stored with Priority = rank so
-	// TSS's own priority resolution orders overlay rules correctly.
-	overlay  *tss.Classifier
-	overlayN int
-	// tombs is the bitset of deleted base rule indices.
-	tombs  []uint64
+	// overlay holds the non-base rules in merged order; each keeps its
+	// merged index as Priority, so a scan can stop at the base winner's.
+	overlay []rule.Rule
+	// pos[bi] is the merged index of base rule bi, or -1 once it is
+	// deleted (a tombstone).
+	pos    []int32
 	tombsN int
 }
 
 // NewView derives the immutable serving view for a merged rule list over a
 // base. merged must be canonical (rule i has Priority i) and must preserve
 // the relative order of the base rules it retains. The derivation is one
-// O(len(merged)) pass; overlay rules are re-inserted into a fresh TSS.
+// O(len(merged)) pass.
 func NewView(b *Base, merged *rule.Set) (*View, error) {
-	if baseRank(b.set.Len()) > maxIntRank {
-		// Every rank in this view is at most the top anchor; refusing here
-		// keeps int(rank) conversions exact on 32-bit platforms (the engine
-		// falls back to rebuild-per-update).
-		return nil, fmt.Errorf("updater: base of %d rules exceeds this platform's int rank space", b.set.Len())
+	v := &View{base: b, merged: merged, pos: make([]int32, b.set.Len())}
+	for bi := range v.pos {
+		v.pos[bi] = -1
 	}
-	n := merged.Len()
-	v := &View{
-		base:   b,
-		merged: merged,
-		ranks:  make([]int64, n),
-		tombs:  make([]uint64, (b.set.Len()+63)/64),
-	}
-	ov := tss.NewClassifier()
-
-	// Walk the merged list: base rules become rank anchors, runs of overlay
-	// rules between anchors are evenly spaced inside the gap.
 	lastBaseIdx := -1
-	prevRank := int64(0)
-	runStart := -1 // first merged index of the pending overlay run
-	assign := func(hi int64, end int) error {
-		if runStart < 0 {
-			return nil
-		}
-		k := int64(end - runStart)
-		if hi-prevRank <= k {
-			return ErrRankSpace
-		}
-		for j := int64(0); j < k; j++ {
-			rk := prevRank + (hi-prevRank)*(j+1)/(k+1)
-			v.ranks[runStart+int(j)] = rk
-			r := merged.Rule(runStart + int(j))
-			r.Priority = int(rk)
-			if err := ov.Insert(r); err != nil {
-				return fmt.Errorf("updater: overlay insert rule %d: %w", r.ID, err)
-			}
-			v.overlayN++
-		}
-		runStart = -1
-		return nil
-	}
-	live := make([]bool, b.set.Len())
-	for i := 0; i < n; i++ {
-		r := merged.Rule(i)
+	for i, r := range merged.Rules() {
 		if r.Priority != i {
 			return nil, fmt.Errorf("updater: merged set not canonical: rule %d has priority %d", i, r.Priority)
 		}
 		bi, isBase := b.indexByID[r.ID]
 		if !isBase {
-			if runStart < 0 {
-				runStart = i
-			}
+			v.overlay = append(v.overlay, r)
 			continue
 		}
 		if bi <= lastBaseIdx {
 			return nil, fmt.Errorf("updater: merged list reorders base rules (id %d)", r.ID)
 		}
-		anchor := baseRank(bi)
-		if err := assign(anchor, i); err != nil {
-			return nil, err
-		}
-		v.ranks[i] = anchor
-		live[bi] = true
+		v.pos[bi] = int32(i)
 		lastBaseIdx = bi
-		prevRank = anchor
 	}
-	if err := assign(baseRank(b.set.Len()), n); err != nil {
-		return nil, err
-	}
-	for bi, alive := range live {
-		if !alive {
-			v.tombs[bi>>6] |= 1 << (uint(bi) & 63)
-			v.tombsN++
-		}
-	}
-	v.overlay = ov
+	v.tombsN = b.set.Len() - (merged.Len() - len(v.overlay))
 	return v, nil
 }
 
@@ -243,7 +146,7 @@ func (v *View) Merged() *rule.Set { return v.merged }
 func (v *View) Base() *Base { return v.base }
 
 // OverlayLen returns the number of rules held in the delta overlay.
-func (v *View) OverlayLen() int { return v.overlayN }
+func (v *View) OverlayLen() int { return len(v.overlay) }
 
 // FromOverlay reports whether the rule with the given ID lives in the
 // delta overlay rather than the base — i.e. it was inserted after the last
@@ -258,133 +161,70 @@ func (v *View) FromOverlay(id int) bool {
 // Tombstones returns the number of tombstoned base rules.
 func (v *View) Tombstones() int { return v.tombsN }
 
-// tombstoned reports whether base rule index bi is deleted.
-func (v *View) tombstoned(bi int) bool {
-	return v.tombs[bi>>6]&(1<<(uint(bi)&63)) != 0
-}
-
 // Classify returns the highest-priority rule of the merged list matching p,
-// or ok=false. The path is allocation-free: one overlay TSS probe, one base
-// lookup (with a tombstone check on its winner), a rank comparison and a
-// binary search back to the canonical merged rule.
+// or ok=false. The path is allocation-free: one base lookup (with a
+// tombstone check on its winner) and an overlay scan that stops at the
+// base winner's priority.
 func (v *View) Classify(p rule.Packet) (rule.Rule, bool) {
-	br, bok := v.base.lookup(p)
-	return v.resolve(p, br, bok)
+	var res rule.Result
+	res.Rule, res.OK = v.base.lookup(p)
+	v.resolve(p, &res)
+	return res.Rule, res.OK
 }
 
-// batchScratch stages one ClassifyBatch call's base lookup results.
-type batchScratch struct {
-	rules []rule.Rule
-	oks   []bool
-}
-
-// batchScratches recycles base-result scratches. A buffered channel rather
-// than sync.Pool so the batch path's zero-alloc steady state is
-// deterministic under the race detector too (Pool drops a fraction of Puts
-// there); extras beyond the freelist capacity simply allocate.
-var batchScratches = make(chan *batchScratch, 64)
-
-func getBatchScratch(n int) *batchScratch {
-	var sc *batchScratch
-	select {
-	case sc = <-batchScratches:
-	default:
-		sc = new(batchScratch)
-	}
-	if cap(sc.rules) < n {
-		sc.rules = make([]rule.Rule, n)
-		sc.oks = make([]bool, n)
-	}
-	return sc
-}
-
-func putBatchScratch(sc *batchScratch) {
-	select {
-	case batchScratches <- sc:
-	default:
-	}
-}
-
-// ClassifyBatch classifies ps[i] into (rules[i], oks[i]) for every i,
-// result-identical to per-packet Classify calls. The base lookups run as one
-// batched call when the base provides one (so a compiled tree base serves
-// the span through its grouped prefetching traversal); the overlay probe,
-// tombstone resolution and rank mapping stay scalar per packet — the overlay
-// is small by construction, the base is where the memory latency lives.
-func (v *View) ClassifyBatch(ps []rule.Packet, rules []rule.Rule, oks []bool) {
-	if v.base.batch == nil || len(ps) < 2 {
+// ClassifyBatch classifies ps[i] into out[i] for every i, result-identical
+// to per-packet Classify calls. The base lookups run as one batched call
+// when the base provides one (so a compiled tree base serves the span
+// through its grouped prefetching traversal), and each base result is then
+// resolved in place against the overlay and tombstones — the overlay is
+// small by construction, the base is where the memory latency lives.
+func (v *View) ClassifyBatch(ps []rule.Packet, out []rule.Result) {
+	if v.base.batch == nil {
 		for i, p := range ps {
-			rules[i], oks[i] = v.Classify(p)
+			out[i].Rule, out[i].OK = v.Classify(p)
 		}
 		return
 	}
-	sc := getBatchScratch(len(ps))
-	brs, boks := sc.rules[:len(ps)], sc.oks[:len(ps)]
-	v.base.batch(ps, brs, boks)
+	v.base.batch(ps, out)
 	for i, p := range ps {
-		rules[i], oks[i] = v.resolve(p, brs[i], boks[i])
+		v.resolve(p, &out[i])
 	}
-	putBatchScratch(sc)
 }
 
-// resolve merges one packet's precomputed base lookup result with the
-// overlay probe and tombstone set, mapping the winning rank back to the
-// canonical merged rule. It is the shared back half of Classify and
-// ClassifyBatch.
-func (v *View) resolve(p rule.Packet, baseRule rule.Rule, baseOK bool) (rule.Rule, bool) {
-	bestRank := int64(math.MaxInt64)
-	found := false
-
-	if v.overlayN > 0 {
-		if r, ok := v.overlay.Classify(p); ok {
-			bestRank = int64(r.Priority) // overlay entries store rank as priority
-			found = true
-		}
-	}
-
-	if r, ok := baseRule, baseOK; ok {
-		bi := r.Priority
-		if v.tombsN > 0 && v.tombstoned(bi) {
+// resolve rewrites one packet's base lookup result in res into the merged
+// list's winner. It is the shared back half of Classify and ClassifyBatch.
+func (v *View) resolve(p rule.Packet, res *rule.Result) {
+	best := v.merged.Len() // merged index of the winner; Len() means none
+	if res.OK {
+		bi := res.Rule.Priority
+		if v.pos[bi] < 0 {
 			// The base's best match is deleted: rescan the base list past
 			// the tombstones. This cannot be pushed into the base structure
 			// itself (see LookupFunc); it is the slow path and only runs
 			// when a deleted rule would have won.
-			bi = -1
-			for i := r.Priority + 1; i < v.base.set.Len(); i++ {
-				if v.tombstoned(i) {
-					continue
-				}
-				if v.base.set.Rule(i).Matches(p) {
-					bi = i
+			for bi++; bi < len(v.pos); bi++ {
+				if v.pos[bi] >= 0 && v.base.set.Rule(bi).Matches(p) {
 					break
 				}
 			}
 		}
-		if bi >= 0 {
-			if rk := baseRank(bi); rk < bestRank {
-				bestRank = rk
-				found = true
-			}
+		if bi < len(v.pos) {
+			best = int(v.pos[bi])
 		}
 	}
-
-	if !found {
-		return rule.Rule{}, false
-	}
-	// Binary search the winner's rank back to its merged index; the ranks
-	// slice is strictly ascending and contains every live rule's rank.
-	lo, hi := 0, len(v.ranks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if v.ranks[mid] < bestRank {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for i := range v.overlay {
+		r := &v.overlay[i]
+		if r.Priority >= best {
+			break
+		}
+		if r.Matches(p) {
+			res.Rule, res.OK = *r, true
+			return
 		}
 	}
-	if lo >= len(v.ranks) || v.ranks[lo] != bestRank {
-		// Unreachable by construction; fail closed rather than panic.
-		return rule.Rule{}, false
+	if best == v.merged.Len() {
+		*res = rule.Result{}
+		return
 	}
-	return v.merged.Rule(lo), true
+	res.Rule, res.OK = v.merged.Rule(best), true
 }

@@ -7,11 +7,15 @@ import (
 	"neurocuts/internal/rule"
 )
 
-// testBase builds a Base whose lookup is the set's own linear search (the
-// reference semantics).
+// testBase builds a Base whose scalar and batched lookups are the set's own
+// linear search (the reference semantics).
 func testBase(t *testing.T, set *rule.Set) *Base {
 	t.Helper()
-	b, err := NewBase(set, set.Match)
+	b, err := NewBase(set, set.Match, func(ps []rule.Packet, out []rule.Result) {
+		for i, p := range ps {
+			out[i].Rule, out[i].OK = set.Match(p)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +48,9 @@ func mutateMerged(set *rule.Set, inserts, deletes int, nextID int) (*rule.Set, i
 }
 
 // TestViewMatchesLinearSearch is the core correctness property: a view's
-// Classify must agree with linear search over the merged list across a mix
-// of overlay inserts and base deletes (so both the fast path and the
-// tombstoned-winner rescan are exercised).
+// Classify and ClassifyBatch must agree with linear search over the merged
+// list across a mix of overlay inserts and base deletes (so both the fast
+// path and the tombstoned-winner rescan are exercised).
 func TestViewMatchesLinearSearch(t *testing.T) {
 	set := genSet(t, 300, 1)
 	merged, _ := mutateMerged(set, 40, 25, 100000)
@@ -60,20 +64,30 @@ func TestViewMatchesLinearSearch(t *testing.T) {
 	if v.OverlayLen() == 0 || v.Tombstones() == 0 {
 		t.Fatalf("overlay=%d tombstones=%d, want both > 0", v.OverlayLen(), v.Tombstones())
 	}
-	for _, e := range trace {
-		wantIdx := merged.MatchIndex(e.Key)
-		got, ok := v.Classify(e.Key)
+	ps := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		ps[i] = e.Key
+	}
+	batch := make([]rule.Result, len(ps))
+	v.ClassifyBatch(ps, batch)
+	check := func(path string, p rule.Packet, got rule.Rule, ok bool) {
+		t.Helper()
+		wantIdx := merged.MatchIndex(p)
 		if (wantIdx < 0) != !ok {
-			t.Fatalf("packet %v: ok=%v want match=%v", e.Key, ok, wantIdx >= 0)
+			t.Fatalf("%s packet %v: ok=%v want match=%v", path, p, ok, wantIdx >= 0)
 		}
 		if !ok {
-			continue
+			return
 		}
-		want := merged.Rule(wantIdx)
-		if got.ID != want.ID || got.Priority != wantIdx {
-			t.Fatalf("packet %v: got rule id=%d prio=%d, want id=%d prio=%d",
-				e.Key, got.ID, got.Priority, want.ID, wantIdx)
+		if want := merged.Rule(wantIdx); got.ID != want.ID || got.Priority != wantIdx {
+			t.Fatalf("%s packet %v: got rule id=%d prio=%d, want id=%d prio=%d",
+				path, p, got.ID, got.Priority, want.ID, wantIdx)
 		}
+	}
+	for i, p := range ps {
+		got, ok := v.Classify(p)
+		check("Classify", p, got, ok)
+		check("ClassifyBatch", p, batch[i].Rule, batch[i].OK)
 	}
 }
 
@@ -120,9 +134,9 @@ func TestViewAllBaseDeleted(t *testing.T) {
 	}
 }
 
-// TestRankAssignment: overlay rules stacked in one gap get strictly
-// ascending, unique ranks, and the guard that protects uniqueness
-// (gap strictly greater than the run length) holds at the boundary.
+// TestRankAssignment: overlay rules stacked in one gap keep their merged
+// order as strictly ascending ranks, however many there are, and the
+// highest-ranked one wins.
 func TestRankAssignment(t *testing.T) {
 	set := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
 	b := testBase(t, set)
@@ -137,9 +151,12 @@ func TestRankAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("512 overlay rules in one gap must fit: %v", err)
 	}
-	for i := 1; i < len(v.ranks); i++ {
-		if v.ranks[i] <= v.ranks[i-1] {
-			t.Fatalf("ranks not strictly ascending at %d: %d <= %d", i, v.ranks[i], v.ranks[i-1])
+	if v.OverlayLen() != 512 {
+		t.Fatalf("overlay=%d, want 512", v.OverlayLen())
+	}
+	for i := 1; i < len(v.overlay); i++ {
+		if v.overlay[i].Priority <= v.overlay[i-1].Priority {
+			t.Fatalf("ranks not strictly ascending at %d: %d <= %d", i, v.overlay[i].Priority, v.overlay[i-1].Priority)
 		}
 	}
 	// The top-of-list overlay rule (highest priority, most recent insert)
@@ -178,21 +195,21 @@ func TestNewViewRejectsNonCanonical(t *testing.T) {
 // unique IDs.
 func TestNewBaseRejectsNonCanonical(t *testing.T) {
 	bad := rule.NewSetKeepPriorities([]rule.Rule{{Priority: 3, ID: 0}})
-	if _, err := NewBase(bad, bad.Match); err == nil {
+	if _, err := NewBase(bad, bad.Match, nil); err == nil {
 		t.Fatal("non-canonical base set accepted")
 	}
 	dup := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0), rule.NewWildcardRule(1)})
 	dup.Rules()[1].ID = dup.Rules()[0].ID
-	if _, err := NewBase(dup, dup.Match); err == nil {
+	if _, err := NewBase(dup, dup.Match, nil); err == nil {
 		t.Fatal("duplicate base IDs accepted")
 	}
-	if _, err := NewBase(rule.NewSet(nil), nil); err == nil {
+	if _, err := NewBase(rule.NewSet(nil), nil, nil); err == nil {
 		t.Fatal("nil lookup accepted")
 	}
 }
 
 // TestViewAllocationFree: the merged lookup performs zero heap allocations
-// on both base paths once the view is built.
+// on both base paths, single and batched, once the view is built.
 func TestViewAllocationFree(t *testing.T) {
 	set := genSet(t, 200, 6)
 	merged, _ := mutateMerged(set, 20, 10, 50000)
@@ -209,5 +226,14 @@ func TestViewAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Classify allocates %.1f allocs/op, want 0", allocs)
+	}
+	ps := make([]rule.Packet, len(trace))
+	for i, e := range trace {
+		ps[i] = e.Key
+	}
+	out := make([]rule.Result, len(ps))
+	allocs = testing.AllocsPerRun(50, func() { v.ClassifyBatch(ps, out) })
+	if allocs != 0 {
+		t.Errorf("ClassifyBatch allocates %.1f allocs/op, want 0", allocs)
 	}
 }
