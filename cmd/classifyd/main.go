@@ -313,12 +313,7 @@ func run(args []string, sig <-chan os.Signal, stdout io.Writer) error {
 	}
 	var ring *iface.ShmServer
 	if *shmPath != "" {
-		batcher, ok := cls.(iface.ShmBatcher)
-		if !ok {
-			srv.Shutdown(context.Background())
-			return fmt.Errorf("-shm: serving surface does not support batch classification")
-		}
-		ring, err = iface.NewShmServer(*shmPath, batcher, iface.ShmServerConfig{Slots: *shmSlots})
+		ring, err = iface.NewShmServer(*shmPath, cls, iface.ShmServerConfig{Slots: *shmSlots})
 		if err != nil {
 			srv.Shutdown(context.Background())
 			return err
@@ -546,11 +541,6 @@ const ingestBatch = 512
 // pcap fixture.
 func runIngest(stdout io.Writer, src iface.Source, label string, cls server.Classifier, pcapOut string, sig <-chan os.Signal) error {
 	defer src.Close()
-	batcher, ok := cls.(server.BatchClassifier)
-	if !ok {
-		return fmt.Errorf("ingest: serving surface does not support batch classification")
-	}
-
 	var pw *iface.PcapWriter
 	if pcapOut != "" {
 		f, err := os.Create(pcapOut)
@@ -580,7 +570,7 @@ loop:
 		}
 		n, err := src.ReadBatch(ps)
 		if n > 0 {
-			batcher.ClassifyBatch(ps[:n], out[:n])
+			cls.ClassifyBatch(ps[:n], out[:n])
 			for i := 0; i < n; i++ {
 				if out[i].OK {
 					matches++

@@ -59,9 +59,9 @@ type Metrics struct {
 	// replication or expansion factor.
 	Entries int
 	// CompiledBytes is the actual footprint of the compiled flat-array
-	// serving form for tree backends (0 for backends without one, or when
-	// serving the legacy pointer tree). MemoryBytes stays the paper's
-	// modelled cost so figures remain comparable across PRs.
+	// serving form for tree backends (0 for backends without one).
+	// MemoryBytes stays the paper's modelled cost so figures remain
+	// comparable across PRs.
 	CompiledBytes int
 }
 

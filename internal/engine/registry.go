@@ -54,11 +54,6 @@ type Options struct {
 	// FlowCacheShards overrides the flow cache's lock-shard count
 	// (0 selects 64). Only meaningful when FlowCacheEntries > 0.
 	FlowCacheShards int
-	// LegacyTreeLookup makes tree backends serve lookups from the
-	// build-time pointer-linked tree instead of the compiled flat-array
-	// form. It exists for the perf lab's compiled-vs-legacy comparison and
-	// as an escape hatch; compiled is the default serve path.
-	LegacyTreeLookup bool
 	// OnlineUpdates routes Insert/Delete through the delta-overlay update
 	// subsystem (internal/updater): inserts land in a small priority-ordered
 	// overlay list, deletes become tombstones, and a background compactor folds the delta

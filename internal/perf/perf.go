@@ -50,20 +50,6 @@ const (
 	SkewZipf Skew = "zipf"
 )
 
-// LookupMode selects which serving representation a cell measures for tree
-// backends. The empty value means "the default" (compiled) and keeps the
-// cell's canonical name — and therefore the committed CI baseline —
-// unchanged from before the axis existed.
-type LookupMode string
-
-const (
-	// LookupCompiled serves from the compiled flat-array form (the default
-	// serve path; named explicitly when comparing against legacy).
-	LookupCompiled LookupMode = "compiled"
-	// LookupLegacy serves from the build-time pointer-linked tree.
-	LookupLegacy LookupMode = "legacy"
-)
-
 // Churn selects the update model of a cell.
 type Churn string
 
@@ -89,28 +75,18 @@ type Grid struct {
 	Skews    []Skew   `json:"skews"`
 	Churns   []Churn  `json:"churns"`
 	Backends []string `json:"backends"`
-	// Lookups is the optional serving-representation axis for tree
-	// backends (compiled vs legacy pointer tree). Empty means one default
-	// (compiled) cell per point, with unchanged canonical names.
-	Lookups []LookupMode `json:"lookups,omitempty"`
 }
 
 // Cells expands the grid into the full cross product, in deterministic
-// (family, size, skew, churn, backend, lookup) order.
+// (family, size, skew, churn, backend) order.
 func (g Grid) Cells() []Cell {
-	lookups := g.Lookups
-	if len(lookups) == 0 {
-		lookups = []LookupMode{""}
-	}
 	var out []Cell
 	for _, f := range g.Families {
 		for _, s := range g.Sizes {
 			for _, sk := range g.Skews {
 				for _, ch := range g.Churns {
 					for _, b := range g.Backends {
-						for _, lk := range lookups {
-							out = append(out, Cell{Family: f, Size: s, Skew: sk, Churn: ch, Backend: b, Lookup: lk})
-						}
+						out = append(out, Cell{Family: f, Size: s, Skew: sk, Churn: ch, Backend: b})
 					}
 				}
 			}
@@ -126,9 +102,6 @@ type Cell struct {
 	Skew    Skew   `json:"skew"`
 	Churn   Churn  `json:"churn"`
 	Backend string `json:"backend"`
-	// Lookup distinguishes compiled vs legacy serving for tree backends;
-	// empty means the default (compiled).
-	Lookup LookupMode `json:"lookup,omitempty"`
 }
 
 // Name returns the scenario's canonical name, e.g. "acl1_1k_zipf_churn_tss".
@@ -139,11 +112,7 @@ func (c Cell) Name() string {
 	if c.Size >= 1000 && c.Size%1000 == 0 {
 		size = fmt.Sprintf("%dk", c.Size/1000)
 	}
-	name := fmt.Sprintf("%s_%s_%s_%s_%s", c.Family, size, c.Skew, c.Churn, c.Backend)
-	if c.Lookup != "" {
-		name += "_" + string(c.Lookup)
-	}
-	return name
+	return fmt.Sprintf("%s_%s_%s_%s_%s", c.Family, size, c.Skew, c.Churn, c.Backend)
 }
 
 // CellMetrics is the measurement of one cell. Structural fields (Rules,
@@ -322,20 +291,4 @@ func CIGrid() Grid {
 func CIConfig() RunConfig {
 	return RunConfig{Seed: 1, Packets: 2048, Ops: 10000, Warmup: 1000, Runs: 3,
 		Flows: 128, ZipfSkew: 1.2, BatchSize: 256, Shards: 2}.WithDefaults()
-}
-
-// CompiledGrid returns the pinned grid of the compiled-vs-legacy lookup
-// comparison: every tree backend, read-only uniform traffic, one cell per
-// serving representation. CI runs it and asserts (via CheckCompiledWins)
-// that the compiled flat-array lookup is never slower at the median than
-// the pointer tree it replaced.
-func CompiledGrid() Grid {
-	return Grid{
-		Families: []string{"acl1"},
-		Sizes:    []int{300},
-		Skews:    []Skew{SkewUniform},
-		Churns:   []Churn{ChurnNone},
-		Backends: []string{"hicuts", "hypercuts", "efficuts", "cutsplit"},
-		Lookups:  []LookupMode{LookupCompiled, LookupLegacy},
-	}
 }

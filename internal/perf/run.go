@@ -54,7 +54,6 @@ func MeasureCell(cell Cell, cfg RunConfig) (CellResult, error) {
 	set := classbench.Generate(fam, cell.Size, cfg.Seed)
 
 	opts := engine.Options{Shards: cfg.Shards, Binth: cfg.Binth, FlowCacheEntries: cfg.FlowCacheEntries,
-		LegacyTreeLookup: cell.Lookup == LookupLegacy,
 		// Update-heavy cells measure the delta-overlay write path; the other
 		// churn mode keeps measuring rebuild-per-update for comparison.
 		OnlineUpdates: cell.Churn == ChurnHeavy}

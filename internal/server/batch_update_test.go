@@ -171,7 +171,10 @@ func TestLiveRuleUpdate(t *testing.T) {
 // TestUpdateUnsupported checks the graceful error when the served
 // classifier is a bare tree without the Updater interface.
 func TestUpdateUnsupported(t *testing.T) {
-	_, _, addr := startTestServer(t) // plain hicuts tree, no Updater
+	// Embedding only the Classifier interface hides the engine's Insert and
+	// Delete, leaving a lookups-only classifier.
+	set := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
+	_, addr := serveTest(t, struct{ Classifier }{newHicutsEngine(t, set)})
 	c := dialTest(t, addr)
 	if _, _, err := c.AddRule(0, "@0.0.0.0/0 0.0.0.0/0 0 : 65535 0 : 65535 0x00/0x00"); err == nil {
 		t.Error("AddRule against a non-updatable classifier should error")

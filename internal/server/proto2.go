@@ -256,13 +256,7 @@ func (s *Server) frameBatch(f Frame, bufs *v2Buffers) Frame {
 	}
 	out := engine.GetResultBuf(n)
 	defer engine.PutResultBuf(out)
-	if bc, ok := cls.(BatchClassifier); ok {
-		bc.ClassifyBatch(packets, out)
-	} else {
-		for i, p := range packets {
-			out[i].Rule, out[i].OK = cls.Classify(p)
-		}
-	}
+	cls.ClassifyBatch(packets, out)
 	payload := binary.LittleEndian.AppendUint32(bufs.resp[:0], uint32(n))
 	for i := 0; i < n; i++ {
 		if out[i].OK {

@@ -12,9 +12,8 @@
 //	          "error <message>\n"
 //
 // Batch lookups amortise round trips: "batch <n>\n" followed by n packet
-// lines returns exactly n response lines in order. When the classifier is an
-// engine.Engine (or anything implementing BatchClassifier) the whole batch
-// is classified against one coherent snapshot with sharded lookup.
+// lines returns exactly n response lines in order; the whole batch is
+// classified in one ClassifyBatch call against one coherent snapshot.
 //
 // Live rule updates are available when the classifier implements Updater
 // (engine.Engine does):
@@ -61,18 +60,12 @@ import (
 	"neurocuts/internal/telemetry"
 )
 
-// Classifier is the minimal lookup interface the server exposes; decision
-// trees, multi-tree classifiers, the linear-search reference and
-// engine.Engine all satisfy it.
+// Classifier is the lookup interface the server exposes; engine.Engine and
+// dataplane.Dataplane satisfy it. Batch requests are classified in one
+// ClassifyBatch call against a single snapshot instead of one lookup per
+// line.
 type Classifier interface {
 	Classify(p rule.Packet) (rule.Rule, bool)
-}
-
-// BatchClassifier is the optional batch interface. When the served
-// classifier implements it (engine.Engine does), "batch" requests are
-// classified in one sharded call against a single snapshot instead of one
-// lookup per line.
-type BatchClassifier interface {
 	ClassifyBatch(ps []rule.Packet, out []engine.Result)
 }
 
@@ -566,13 +559,7 @@ func (s *Server) handleBatch(scanner *bufio.Scanner, w *bufio.Writer, cls Classi
 	}
 	out := engine.GetResultBuf(n)
 	defer engine.PutResultBuf(out)
-	if bc, ok := cls.(BatchClassifier); ok {
-		bc.ClassifyBatch(packets, out)
-	} else {
-		for i, p := range packets {
-			out[i].Rule, out[i].OK = cls.Classify(p)
-		}
-	}
+	cls.ClassifyBatch(packets, out)
 	for i := 0; i < n; i++ {
 		var resp string
 		switch {

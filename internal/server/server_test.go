@@ -11,12 +11,12 @@ import (
 	"time"
 
 	"neurocuts/internal/classbench"
-	"neurocuts/internal/hicuts"
+	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
 )
 
-// startTestServer builds a HiCuts tree over a small classifier and serves it
-// on a loopback port.
+// startTestServer builds a HiCuts engine over a small classifier and serves
+// it on a loopback port.
 func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 	t.Helper()
 	fam, err := classbench.FamilyByName("acl1")
@@ -24,17 +24,31 @@ func startTestServer(t *testing.T) (*Server, *rule.Set, string) {
 		t.Fatal(err)
 	}
 	set := classbench.Generate(fam, 200, 1)
-	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
+	srv, addr := serveTest(t, newHicutsEngine(t, set))
+	return srv, set, addr
+}
+
+// newHicutsEngine builds a single-shard HiCuts engine closed at test end.
+func newHicutsEngine(t *testing.T, set *rule.Set) *engine.Engine {
+	t.Helper()
+	eng, err := engine.NewEngine("hicuts", set, engine.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(tr)
+	t.Cleanup(eng.Close)
+	return eng
+}
+
+// serveTest serves cls on a loopback port until the test ends.
+func serveTest(t *testing.T, cls Classifier) (*Server, string) {
+	t.Helper()
+	srv := New(cls)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, set, addr.String()
+	return srv, addr.String()
 }
 
 func TestParseRequest(t *testing.T) {
@@ -142,20 +156,11 @@ func TestServerNoMatch(t *testing.T) {
 	r0 := rule.NewWildcardRule(0)
 	r0.Ranges[rule.DimProto] = rule.Range{Lo: 6, Hi: 6}
 	set := rule.NewSet([]rule.Rule{r0})
-	tr, err := hicuts.Build(set, hicuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(tr)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	_, addr := serveTest(t, newHicutsEngine(t, set))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	client, err := Dial(ctx, addr.String())
+	client, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}

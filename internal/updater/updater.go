@@ -61,9 +61,7 @@ type BatchLookupFunc func(ps []rule.Packet, out []rule.Result)
 // it was built over, and the ID->index mapping Views need. It is shared by
 // every View derived between two compactions.
 type Base struct {
-	lookup LookupFunc
-	// batch is the optional batched lookup (nil bases serve batches as a
-	// scalar loop).
+	lookup    LookupFunc
 	batch     BatchLookupFunc
 	set       *rule.Set
 	indexByID map[int]int
@@ -71,11 +69,13 @@ type Base struct {
 
 // NewBase wraps a built classifier as an overlay base. The set must be in
 // canonical form (rule i has Priority i), which every engine-built and
-// artifact-loaded set satisfies. batch may be nil, in which case
-// View.ClassifyBatch degrades to scalar lookups.
+// artifact-loaded set satisfies. Both lookups are required.
 func NewBase(set *rule.Set, lookup LookupFunc, batch BatchLookupFunc) (*Base, error) {
 	if lookup == nil {
 		return nil, errors.New("updater: base lookup is nil")
+	}
+	if batch == nil {
+		return nil, errors.New("updater: base batch lookup is nil")
 	}
 	idx := make(map[int]int, set.Len())
 	for i, r := range set.Rules() {
@@ -174,17 +174,11 @@ func (v *View) Classify(p rule.Packet) (rule.Rule, bool) {
 
 // ClassifyBatch classifies ps[i] into out[i] for every i, result-identical
 // to per-packet Classify calls. The base lookups run as one batched call
-// when the base provides one (so a compiled tree base serves the span
-// through its grouped prefetching traversal), and each base result is then
+// (so a compiled tree base serves the span through its grouped prefetching
+// traversal), and each base result is then
 // resolved in place against the overlay and tombstones — the overlay is
 // small by construction, the base is where the memory latency lives.
 func (v *View) ClassifyBatch(ps []rule.Packet, out []rule.Result) {
-	if v.base.batch == nil {
-		for i, p := range ps {
-			out[i].Rule, out[i].OK = v.Classify(p)
-		}
-		return
-	}
 	v.base.batch(ps, out)
 	for i, p := range ps {
 		v.resolve(p, &out[i])

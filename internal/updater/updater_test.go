@@ -11,15 +11,20 @@ import (
 // linear search (the reference semantics).
 func testBase(t *testing.T, set *rule.Set) *Base {
 	t.Helper()
-	b, err := NewBase(set, set.Match, func(ps []rule.Packet, out []rule.Result) {
-		for i, p := range ps {
-			out[i].Rule, out[i].OK = set.Match(p)
-		}
-	})
+	b, err := NewBase(set, set.Match, linearBatch(set))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// linearBatch is set's linear search as a batched lookup.
+func linearBatch(set *rule.Set) BatchLookupFunc {
+	return func(ps []rule.Packet, out []rule.Result) {
+		for i, p := range ps {
+			out[i].Rule, out[i].OK = set.Match(p)
+		}
+	}
 }
 
 func genSet(t *testing.T, size int, seed int64) *rule.Set {
@@ -192,19 +197,26 @@ func TestNewViewRejectsNonCanonical(t *testing.T) {
 }
 
 // TestNewBaseRejectsNonCanonical: base sets must have index priorities and
-// unique IDs.
+// unique IDs, and both lookups must be present.
 func TestNewBaseRejectsNonCanonical(t *testing.T) {
 	bad := rule.NewSetKeepPriorities([]rule.Rule{{Priority: 3, ID: 0}})
-	if _, err := NewBase(bad, bad.Match, nil); err == nil {
+	if _, err := NewBase(bad, bad.Match, linearBatch(bad)); err == nil {
 		t.Fatal("non-canonical base set accepted")
 	}
 	dup := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0), rule.NewWildcardRule(1)})
 	dup.Rules()[1].ID = dup.Rules()[0].ID
-	if _, err := NewBase(dup, dup.Match, nil); err == nil {
+	if _, err := NewBase(dup, dup.Match, linearBatch(dup)); err == nil {
 		t.Fatal("duplicate base IDs accepted")
 	}
-	if _, err := NewBase(rule.NewSet(nil), nil, nil); err == nil {
+	ok := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
+	if _, err := NewBase(ok, ok.Match, linearBatch(ok)); err != nil {
+		t.Fatalf("canonical base rejected: %v", err)
+	}
+	if _, err := NewBase(ok, nil, linearBatch(ok)); err == nil {
 		t.Fatal("nil lookup accepted")
+	}
+	if _, err := NewBase(ok, ok.Match, nil); err == nil {
+		t.Fatal("nil batch lookup accepted")
 	}
 }
 
