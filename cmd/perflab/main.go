@@ -13,7 +13,9 @@
 // compare exits 2 when a threshold is breached, so CI can gate on it. The
 // remaining subcommands (checkupdates, proto, dataplane, checkcompiledbatch,
 // checktelemetry, realtrace) each measure one pairwise perf cell, re-measure
-// on a violated bound, and exit 2 only when the violation persists.
+// on a violated bound, and exit 2 only when the violation persists. They
+// declare their shared flags through newGateFlags, and their cells share
+// one fixture and one timing core in internal/perf.
 package main
 
 import (
@@ -207,6 +209,58 @@ func compareCmd(args []string) {
 	}
 }
 
+// gateSpec is what differs between the check commands' shared flags: the
+// defaults and help texts of each command.
+type gateSpec struct {
+	// families is the default of a comma-separated -families flag; empty
+	// declares a single -family (default acl1) instead.
+	families    string
+	size        int
+	backendHelp string
+	// runsHelp and outHelp are the help texts of -runs and -out (whose
+	// default is out); an empty one leaves the flag out.
+	runsHelp, out, outHelp string
+}
+
+// gateFlags are the flags the six check commands share: the cell's family,
+// size, backend and seed, its measurement passes, the re-measure budget and
+// the JSON output path.
+type gateFlags struct {
+	fs      *flag.FlagSet
+	family  *string
+	size    *int
+	backend *string
+	seed    *int64
+	runs    *int
+	retries *int
+	out     *string
+}
+
+// newGateFlags declares the shared flags of check command name.
+func newGateFlags(name string, spec gateSpec) *gateFlags {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	g := &gateFlags{fs: fs, runs: new(int), out: new(string)}
+	if spec.families != "" {
+		g.family = fs.String("families", spec.families, "comma-separated ClassBench families")
+	} else {
+		g.family = fs.String("family", "acl1", "ClassBench family")
+	}
+	g.size = fs.Int("size", spec.size, "rule-set size")
+	g.backend = fs.String("backend", "hicuts", spec.backendHelp)
+	g.seed = fs.Int64("seed", 1, "random seed")
+	if spec.runsHelp != "" {
+		g.runs = fs.Int("runs", 3, spec.runsHelp)
+	}
+	g.retries = fs.Int("retries", 2, "re-measure up to this many times on violation")
+	if spec.outHelp != "" {
+		g.out = fs.String("out", spec.out, spec.outHelp)
+	}
+	return g
+}
+
+// cfg is the run configuration the flags select.
+func (g *gateFlags) cfg() perf.RunConfig { return perf.RunConfig{Seed: *g.seed} }
+
 // checkUpdatesCmd asserts the online-update subsystem's headline claims: a
 // single-rule update through the delta overlay must beat rebuild-per-update
 // by at least -min-factor at the median, on the same backend and rule set,
@@ -215,21 +269,14 @@ func compareCmd(args []string) {
 // to -retries times on violation (see retry); persistent violations exit 2
 // so CI can gate.
 func checkUpdatesCmd(args []string) {
-	fs := flag.NewFlagSet("checkupdates", flag.ExitOnError)
-	var (
-		family    = fs.String("family", "acl1", "ClassBench family")
-		size      = fs.Int("size", 2000, "rule-set size")
-		backend   = fs.String("backend", "hicuts", "tree backend to measure")
-		updates   = fs.Int("updates", 200, "measured updates per path")
-		minFactor = fs.Float64("min-factor", 10, "required rebuild-p50 / overlay-p50 ratio")
-		seed      = fs.Int64("seed", 1, "random seed")
-		retries   = fs.Int("retries", 2, "re-measure up to this many times on violation")
-	)
-	fs.Parse(args)
+	g := newGateFlags("checkupdates", gateSpec{size: 2000, backendHelp: "tree backend to measure"})
+	updates := g.fs.Int("updates", 200, "measured updates per path")
+	minFactor := g.fs.Float64("min-factor", 10, "required rebuild-p50 / overlay-p50 ratio")
+	g.fs.Parse(args)
 
-	res, violation := retry(*retries,
+	res, violation := retry(*g.retries,
 		func() (perf.UpdateSpeedup, error) {
-			return perf.MeasureUpdateSpeedup(*family, *size, *backend, *updates, perf.RunConfig{Seed: *seed})
+			return perf.MeasureUpdateSpeedup(*g.family, *g.size, *g.backend, *updates, g.cfg())
 		},
 		func(res perf.UpdateSpeedup) string {
 			if v := perf.CheckUpdateSpeedup(res, *minFactor); v != "" {
@@ -250,30 +297,22 @@ func checkUpdatesCmd(args []string) {
 // check commands: the measurement is retried on violation, and persistent
 // violations exit 2.
 func protoCmd(args []string) {
-	fs := flag.NewFlagSet("proto", flag.ExitOnError)
-	var (
-		family    = fs.String("family", "acl1", "ClassBench family")
-		size      = fs.Int("size", 1000, "rule-set size")
-		backend   = fs.String("backend", "hicuts", "backend to serve")
-		packets   = fs.Int("packets", 50000, "trace length per measurement pass")
-		batch     = fs.Int("batch", 1024, "packets per batch request")
-		runs      = fs.Int("runs", 3, "measurement passes (best-of)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		minFactor = fs.Float64("min-factor", 0, "required v2/v1 throughput ratio (0 = report only)")
-		retries   = fs.Int("retries", 2, "re-measure up to this many times on violation")
-		out       = fs.String("out", "", "also write the comparison as JSON to this path")
-	)
-	fs.Parse(args)
+	g := newGateFlags("proto", gateSpec{size: 1000, backendHelp: "backend to serve",
+		runsHelp: "measurement passes (best-of)", outHelp: "also write the comparison as JSON to this path"})
+	packets := g.fs.Int("packets", 50000, "trace length per measurement pass")
+	batch := g.fs.Int("batch", 1024, "packets per batch request")
+	minFactor := g.fs.Float64("min-factor", 0, "required v2/v1 throughput ratio (0 = report only)")
+	g.fs.Parse(args)
 
-	res, violation := retry(*retries,
+	res, violation := retry(*g.retries,
 		func() (perf.ProtoComparison, error) {
-			return perf.MeasureProtoThroughput(*family, *size, *backend, *packets, *batch, *runs, perf.RunConfig{Seed: *seed})
+			return perf.MeasureProtoThroughput(*g.family, *g.size, *g.backend, *packets, *batch, *g.runs, g.cfg())
 		},
 		func(res perf.ProtoComparison) string { return perf.CheckProtoThroughput(res, *minFactor) })
 	fmt.Printf("%s_%d_%s  batch=%d  v1 %12.0f pps  v2 %12.0f pps  engine %12.0f pps  v2/v1 %5.2fx  %s\n",
 		res.Family, res.Size, res.Backend, res.BatchSize,
 		res.V1PacketsPerSec, res.V2PacketsPerSec, res.EnginePacketsPerSec, res.Factor, verdict(violation))
-	finish(*out, res, violation)
+	finish(*g.out, res, violation)
 }
 
 // dataplaneCmd measures the same concurrent batched lookup workload served
@@ -282,27 +321,19 @@ func protoCmd(args []string) {
 // must reach -min-factor. Like the other check commands it re-measures on
 // violation and exits 2 only when the violation persists.
 func dataplaneCmd(args []string) {
-	fs := flag.NewFlagSet("dataplane", flag.ExitOnError)
-	var (
-		family     = fs.String("family", "acl1", "ClassBench family")
-		size       = fs.Int("size", 1000, "rule-set size")
-		backend    = fs.String("backend", "hicuts", "backend to serve")
-		cores      = fs.Int("cores", 0, "parallelism for both paths: pool shards and dataplane loops (0 = GOMAXPROCS)")
-		submitters = fs.Int("submitters", 4, "concurrent batch-submitting goroutines")
-		batches    = fs.Int("batches", 64, "measured batches per submitter per pass")
-		batch      = fs.Int("batch", 512, "packets per batch")
-		flowCache  = fs.Int("flow-cache", 16384, "flow-cache entry budget for both paths")
-		runs       = fs.Int("runs", 3, "measurement passes (best-of)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		minFactor  = fs.Float64("min-factor", 0, "required pool-p99 / dataplane-p99 ratio (0 = report only)")
-		retries    = fs.Int("retries", 2, "re-measure up to this many times on violation")
-		out        = fs.String("out", "", "also write the comparison as JSON to this path")
-	)
-	fs.Parse(args)
+	g := newGateFlags("dataplane", gateSpec{size: 1000, backendHelp: "backend to serve",
+		runsHelp: "measurement passes (best-of)", outHelp: "also write the comparison as JSON to this path"})
+	cores := g.fs.Int("cores", 0, "parallelism for both paths: pool shards and dataplane loops (0 = GOMAXPROCS)")
+	submitters := g.fs.Int("submitters", 4, "concurrent batch-submitting goroutines")
+	batches := g.fs.Int("batches", 64, "measured batches per submitter per pass")
+	batch := g.fs.Int("batch", 512, "packets per batch")
+	flowCache := g.fs.Int("flow-cache", 16384, "flow-cache entry budget for both paths")
+	minFactor := g.fs.Float64("min-factor", 0, "required pool-p99 / dataplane-p99 ratio (0 = report only)")
+	g.fs.Parse(args)
 
-	res, violation := retry(*retries,
+	res, violation := retry(*g.retries,
 		func() (perf.DataplaneComparison, error) {
-			return perf.MeasureDataplane(*family, *size, *backend, *cores, *submitters, *batches, *batch, *flowCache, *runs, perf.RunConfig{Seed: *seed})
+			return perf.MeasureDataplane(*g.family, *g.size, *g.backend, *cores, *submitters, *batches, *batch, *flowCache, *g.runs, g.cfg())
 		},
 		func(res perf.DataplaneComparison) string { return perf.CheckDataplane(res, *minFactor) })
 	fmt.Printf("%s_%d_%s  cores=%d sub=%d batch=%d  pool p99 %10.0fns  dataplane p99 %10.0fns  %5.2fx  (p50 %8.0fns vs %8.0fns, %8.0f vs %8.0f pps)  %s\n",
@@ -310,7 +341,7 @@ func dataplaneCmd(args []string) {
 		res.PoolP99Nanos, res.DataplaneP99Nanos, res.Factor,
 		res.PoolP50Nanos, res.DataplaneP50Nanos,
 		res.PoolPacketsPerSec, res.DataplanePacketsPerSec, verdict(violation))
-	finish(*out, res, violation)
+	finish(*g.out, res, violation)
 }
 
 // checkCompiledBatchCmd runs the compiledbatch perf cell per family: the same
@@ -320,27 +351,20 @@ func dataplaneCmd(args []string) {
 // other check commands it re-measures on violation and exits 2 only when the
 // violation persists.
 func checkCompiledBatchCmd(args []string) {
-	fs := flag.NewFlagSet("checkcompiledbatch", flag.ExitOnError)
-	var (
-		families  = fs.String("families", "acl1,fw1,ipc1", "comma-separated ClassBench families")
-		size      = fs.Int("size", 10000, "rule-set size")
-		backend   = fs.String("backend", "hicuts", "tree backend to compile (hicuts, hypercuts, efficuts, cutsplit)")
-		batches   = fs.Int("batches", 96, "measured batches per pass")
-		batch     = fs.Int("batch", 512, "packets per batch")
-		runs      = fs.Int("runs", 3, "measurement passes per path (best-of)")
-		seed      = fs.Int64("seed", 1, "random seed")
-		minFactor = fs.Float64("min-factor", 0, "required scalar-p50 / batch-p50 ratio (0 = report only)")
-		retries   = fs.Int("retries", 2, "re-measure up to this many times on violation")
-		out       = fs.String("out", "", "also write the comparisons as a JSON array to this path")
-	)
-	fs.Parse(args)
+	g := newGateFlags("checkcompiledbatch", gateSpec{families: "acl1,fw1,ipc1", size: 10000,
+		backendHelp: "tree backend to compile (hicuts, hypercuts, efficuts, cutsplit)",
+		runsHelp:    "measurement passes per path (best-of)", outHelp: "also write the comparisons as a JSON array to this path"})
+	batches := g.fs.Int("batches", 96, "measured batches per pass")
+	batch := g.fs.Int("batch", 512, "packets per batch")
+	minFactor := g.fs.Float64("min-factor", 0, "required scalar-p50 / batch-p50 ratio (0 = report only)")
+	g.fs.Parse(args)
 
 	var results []perf.CompiledBatchComparison
 	var violations []string
-	for _, fam := range splitCSV(*families) {
-		res, violation := retry(*retries,
+	for _, fam := range splitCSV(*g.family) {
+		res, violation := retry(*g.retries,
 			func() (perf.CompiledBatchComparison, error) {
-				return perf.MeasureCompiledBatch(fam, *size, *backend, *batches, *batch, *runs, perf.RunConfig{Seed: *seed})
+				return perf.MeasureCompiledBatch(fam, *g.size, *g.backend, *batches, *batch, *g.runs, g.cfg())
 			},
 			func(res perf.CompiledBatchComparison) string { return perf.CheckCompiledBatch(res, *minFactor) })
 		violations = append(violations, violation)
@@ -355,7 +379,7 @@ func checkCompiledBatchCmd(args []string) {
 			res.ScalarPacketsPerSec, res.BatchPacketsPerSec, verdict(violation))
 		results = append(results, res)
 	}
-	finish(*out, results, violations...)
+	finish(*g.out, results, violations...)
 }
 
 // checkTelemetryCmd runs the telemetry-overhead perf cell: the same batch
@@ -365,24 +389,17 @@ func checkCompiledBatchCmd(args []string) {
 // allocation delta. Like the other check commands it re-measures on
 // violation and exits 2 only when the violation persists.
 func checkTelemetryCmd(args []string) {
-	fs := flag.NewFlagSet("checktelemetry", flag.ExitOnError)
-	var (
-		family     = fs.String("family", "acl1", "ClassBench family")
-		size       = fs.Int("size", 10000, "rule-set size")
-		backend    = fs.String("backend", "hicuts", "engine backend")
-		batches    = fs.Int("batches", 96, "measured batches per pass")
-		batch      = fs.Int("batch", 512, "packets per batch")
-		runs       = fs.Int("runs", 3, "measurement passes per configuration (best-of)")
-		seed       = fs.Int64("seed", 1, "random seed")
-		maxOverPct = fs.Float64("max-overhead-pct", 5, "max allowed telemetry batch-p50 overhead in percent (0 = report only)")
-		retries    = fs.Int("retries", 2, "re-measure up to this many times on violation")
-		out        = fs.String("out", "BENCH_telemetry.json", "write the comparison as JSON to this path ('' = skip)")
-	)
-	fs.Parse(args)
+	g := newGateFlags("checktelemetry", gateSpec{size: 10000, backendHelp: "engine backend",
+		runsHelp: "measurement passes per configuration (best-of)",
+		out:      "BENCH_telemetry.json", outHelp: "write the comparison as JSON to this path ('' = skip)"})
+	batches := g.fs.Int("batches", 96, "measured batches per pass")
+	batch := g.fs.Int("batch", 512, "packets per batch")
+	maxOverPct := g.fs.Float64("max-overhead-pct", 5, "max allowed telemetry batch-p50 overhead in percent (0 = report only)")
+	g.fs.Parse(args)
 
-	res, violation := retry(*retries,
+	res, violation := retry(*g.retries,
 		func() (perf.TelemetryOverhead, error) {
-			return perf.MeasureTelemetryOverhead(*family, *size, *backend, *batches, *batch, *runs, perf.RunConfig{Seed: *seed})
+			return perf.MeasureTelemetryOverhead(*g.family, *g.size, *g.backend, *batches, *batch, *g.runs, g.cfg())
 		},
 		func(res perf.TelemetryOverhead) string { return perf.CheckTelemetry(res, *maxOverPct) })
 	fmt.Printf("%s_%d_%s batch=%d  off p50 %9.0fns  armed p50 %9.0fns  %+5.1f%%  allocs/batch %.2f vs %.2f (delta %+.2f)  samples=%d slow=%d  %s\n",
@@ -390,31 +407,24 @@ func checkTelemetryCmd(args []string) {
 		res.OffP50Nanos, res.OnP50Nanos, res.OverheadPct,
 		res.OnAllocsPerBatch, res.OffAllocsPerBatch, res.AllocsDelta,
 		res.HistogramSamples, res.SlowCaptured, verdict(violation))
-	finish(*out, res, violation)
+	finish(*g.out, res, violation)
 }
 
 func realTraceCmd(args []string) {
-	fs := flag.NewFlagSet("realtrace", flag.ExitOnError)
-	var (
-		families    = fs.String("families", "acl1,fw1,ipc1", "comma-separated ClassBench families")
-		size        = fs.Int("size", 1000, "rule-set size")
-		backend     = fs.String("backend", "hicuts", "engine backend")
-		packets     = fs.Int("packets", 50000, "trace length rendered into the pcap")
-		batch       = fs.Int("batch", 512, "packets per ReadBatch/ClassifyBatch span")
-		runs        = fs.Int("runs", 3, "measurement passes per path (best-of)")
-		seed        = fs.Int64("seed", 1, "random seed")
-		minFraction = fs.Float64("min-fraction", 0.25, "min replay/direct throughput fraction (0 = report only)")
-		retries     = fs.Int("retries", 2, "re-measure up to this many times on violation")
-		out         = fs.String("out", "BENCH_realtrace.json", "write the results as JSON to this path ('' = skip)")
-	)
-	fs.Parse(args)
+	g := newGateFlags("realtrace", gateSpec{families: "acl1,fw1,ipc1", size: 1000, backendHelp: "engine backend",
+		runsHelp: "measurement passes per path (best-of)",
+		out:      "BENCH_realtrace.json", outHelp: "write the results as JSON to this path ('' = skip)"})
+	packets := g.fs.Int("packets", 50000, "trace length rendered into the pcap")
+	batch := g.fs.Int("batch", 512, "packets per ReadBatch/ClassifyBatch span")
+	minFraction := g.fs.Float64("min-fraction", 0.25, "min replay/direct throughput fraction (0 = report only)")
+	g.fs.Parse(args)
 
 	var results []perf.RealTraceResult
 	var violations []string
-	for _, fam := range splitCSV(*families) {
-		res, violation := retry(*retries,
+	for _, fam := range splitCSV(*g.family) {
+		res, violation := retry(*g.retries,
 			func() (perf.RealTraceResult, error) {
-				return perf.MeasureRealTrace(fam, *size, *backend, *packets, *batch, *runs, perf.RunConfig{Seed: *seed})
+				return perf.MeasureRealTrace(fam, *g.size, *g.backend, *packets, *batch, *g.runs, g.cfg())
 			},
 			func(res perf.RealTraceResult) string { return perf.CheckRealTrace(res, *minFraction) })
 		violations = append(violations, violation)
@@ -425,7 +435,7 @@ func realTraceCmd(args []string) {
 			res.Matches, verdict(violation))
 		results = append(results, res)
 	}
-	finish(*out, results, violations...)
+	finish(*g.out, results, violations...)
 }
 
 // retry runs measure and checks its result, re-measuring up to retries more

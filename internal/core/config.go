@@ -1,8 +1,9 @@
 // Package core implements NeuroCuts itself: the deep-RL trainer that learns
 // to build packet classification decision trees (Algorithm 1 of the paper),
 // including parallel rollout collection, best-tree tracking, policy
-// checkpointing, tree sampling from the stochastic policy, and incremental
-// handling of classifier updates.
+// checkpointing, and tree sampling from the stochastic policy. Served rule
+// updates do not retrain here: the engine's delta overlay absorbs them and
+// background compaction rebuilds the tree (internal/engine, internal/updater).
 package core
 
 import (

@@ -49,9 +49,6 @@ type Config struct {
 	// Cores is the number of classify loops (and rings, and per-core
 	// caches). 0 means runtime.GOMAXPROCS(0).
 	Cores int
-	// RingSize is each core's ring capacity in items; 0 means
-	// defaultRingSize.
-	RingSize int
 	// CacheEntries is the per-core flow cache size in entries; 0 disables
 	// the per-core caches. Callers moving from the engine's sharded cache
 	// should disable that cache (engine.Options.FlowCacheEntries = 0) and
@@ -202,10 +199,6 @@ func Attach(eng *engine.Engine, cfg Config) (*Dataplane, error) {
 	if cores > maxCores {
 		return nil, fmt.Errorf("dataplane: %d cores exceeds the maximum of %d", cfg.Cores, maxCores)
 	}
-	ringSize := cfg.RingSize
-	if ringSize <= 0 {
-		ringSize = defaultRingSize
-	}
 	perCoreCache := 0
 	if cfg.CacheEntries > 0 {
 		// Split the total budget across cores, with a floor so tiny budgets
@@ -235,7 +228,7 @@ func Attach(eng *engine.Engine, cfg Config) (*Dataplane, error) {
 	d.loops = make([]*loop, cores)
 	for i := range d.loops {
 		d.loops[i] = &loop{
-			ring:      newRing(ringSize),
+			ring:      newRing(defaultRingSize),
 			cache:     newCoreCache(perCoreCache),
 			view:      view,
 			core:      i,

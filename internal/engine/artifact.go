@@ -40,7 +40,7 @@ func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, shards: shards}
-	e.cache = newFlowCache(opts.FlowCacheEntries, opts.FlowCacheShards)
+	e.cache = newFlowCache(opts.FlowCacheEntries)
 	var build Builder
 	if entry, err := lookupBackend(meta.Backend); err == nil {
 		build = entry.build

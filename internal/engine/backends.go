@@ -230,7 +230,7 @@ func init() {
 	})
 
 	Register("tcam", "TCAM", func(set *rule.Set, opts Options) (Classifier, error) {
-		c, err := tcam.Build(set, opts.TCAMExpandLimit)
+		c, err := tcam.Build(set, tcam.DefaultExpandLimit)
 		if err != nil {
 			return nil, err
 		}

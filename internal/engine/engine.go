@@ -353,7 +353,7 @@ func NewEngine(name string, set *rule.Set, opts Options) (*Engine, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, shards: shards}
-	e.cache = newFlowCache(opts.FlowCacheEntries, opts.FlowCacheShards)
+	e.cache = newFlowCache(opts.FlowCacheEntries)
 	e.snap.Store(&snapshot{cls: cls, set: set, version: 1, backend: entry.name, build: entry.build, baseCls: cls})
 	for _, r := range set.Rules() {
 		if r.ID >= e.nextID {

@@ -55,17 +55,14 @@ type cacheSlot struct {
 // count while costing only 64 mutexes of overhead.
 const defaultCacheShards = 64
 
-// newFlowCache builds a cache with at least the requested number of entries,
-// rounded so both the shard count and the per-shard slot count are powers of
-// two (index extraction is then two masks on one hash).
-func newFlowCache(entries, shards int) *flowCache {
+// newFlowCache builds a cache with at least the requested number of entries
+// over defaultCacheShards shards, rounding the per-shard slot count to a
+// power of two (index extraction is then two masks on one hash).
+func newFlowCache(entries int) *flowCache {
 	if entries <= 0 {
 		return nil
 	}
-	if shards <= 0 {
-		shards = defaultCacheShards
-	}
-	shards = ceilPow2(shards)
+	const shards = defaultCacheShards
 	perShard := ceilPow2((entries + shards - 1) / shards)
 	if perShard < 1 {
 		perShard = 1

@@ -234,8 +234,15 @@ func (e *Engine) compactOnce() {
 	e.mu.Lock()
 	cur := e.snap.Load()
 	oc, ok := cur.cls.(*overlayClassifier)
-	if !ok || cur.build == nil || oc.view.OverlayLen()+oc.view.Tombstones() == 0 {
+	if !ok || oc.view.OverlayLen()+oc.view.Tombstones() == 0 {
 		e.mu.Unlock()
+		return
+	}
+	if cur.build == nil {
+		// An artifact-served engine whose backend is not registered cannot
+		// rebuild; say so, and let the failure backoff pace the retries.
+		e.mu.Unlock()
+		e.noteCompactFailure(errCannotCompact(cur.backend))
 		return
 	}
 	frozen := cur.set // the merged list being folded into the new base
@@ -313,7 +320,7 @@ func (e *Engine) noteCompactFailure(err error) {
 func (e *Engine) compactLocked() error {
 	cur := e.snap.Load()
 	if cur.build == nil {
-		return fmt.Errorf("engine: backend %q is not registered; cannot compact", cur.backend)
+		return errCannotCompact(cur.backend)
 	}
 	t0 := time.Now()
 	cls, err := cur.build(cur.set, e.opts)
@@ -333,6 +340,12 @@ func (e *Engine) compactLocked() error {
 	}
 	e.overlayDirty.Store(0)
 	return nil
+}
+
+// errCannotCompact is the compaction error of an engine whose backend is
+// not registered, so no base can be rebuilt.
+func errCannotCompact(backend string) error {
+	return fmt.Errorf("engine: backend %q is not registered; cannot compact", backend)
 }
 
 // closeUpdater stops the compactor and closes the journal; called from

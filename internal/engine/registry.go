@@ -40,9 +40,6 @@ type Options struct {
 	// action at the top node (the paper's "simple" partitioning); the
 	// default trains a single unpartitioned tree.
 	SimplePartition bool
-	// TCAMExpandLimit bounds per-rule range expansion for the TCAM backend
-	// (0 selects the tcam package default of 1024).
-	TCAMExpandLimit int
 	// Shards is the Engine's batch-lookup shard count (0 selects
 	// GOMAXPROCS). It does not affect the underlying data structure.
 	Shards int
@@ -51,9 +48,6 @@ type Options struct {
 	// (5-tuple -> result) per snapshot version, which pays off on skewed
 	// traffic where few flows carry most packets.
 	FlowCacheEntries int
-	// FlowCacheShards overrides the flow cache's lock-shard count
-	// (0 selects 64). Only meaningful when FlowCacheEntries > 0.
-	FlowCacheShards int
 	// OnlineUpdates routes Insert/Delete through the delta-overlay update
 	// subsystem (internal/updater): inserts land in a small priority-ordered
 	// overlay list, deletes become tombstones, and a background compactor folds the delta

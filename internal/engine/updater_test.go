@@ -571,6 +571,40 @@ func TestOverlayUnregisteredBackendStillUpdates(t *testing.T) {
 	}
 }
 
+// TestCompactUnregisteredBackendRecordsFailure: an artifact-served engine
+// whose backend is not registered cannot rebuild its base, so a background
+// compaction past the threshold must be recorded as a failure (which arms
+// the failure backoff) instead of returning silently while the overlay
+// keeps growing.
+func TestCompactUnregisteredBackendRecordsFailure(t *testing.T) {
+	set := artifactTestSet(t, 120)
+	path := saveTestArtifact(t, set, "no-such-backend-compact", t.TempDir())
+	eng, err := NewEngineFromArtifact(path, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := eng.Insert(0, rule.NewWildcardRule(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for eng.UpdaterStats().CompactFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("overlay past CompactThreshold on an unregistered backend recorded no compaction failure: %+v", eng.UpdaterStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st := eng.UpdaterStats()
+	if !strings.Contains(st.LastCompactError, "not registered") {
+		t.Errorf("LastCompactError = %q, want the not-registered error", st.LastCompactError)
+	}
+	if st.Compactions != 0 || st.OverlayRules != 3 {
+		t.Errorf("compactions %d, overlay rules %d; want 0 and 3", st.Compactions, st.OverlayRules)
+	}
+}
+
 // TestSideSaveDoesNotRotateJournal: saving a snapshot to a path that is
 // neither the journal's co-located companion nor the engine's own source
 // artifact must leave the journal untouched — the configured

@@ -3,18 +3,9 @@ package perf
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"time"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/compiled"
-	"neurocuts/internal/cutsplit"
-	"neurocuts/internal/efficuts"
-	"neurocuts/internal/hicuts"
-	"neurocuts/internal/hypercuts"
-	"neurocuts/internal/packet"
-	"neurocuts/internal/rule"
-	"neurocuts/internal/tree"
+	"neurocuts/internal/engine"
 )
 
 // CompiledBatchComparison is the outcome of the compiledbatch perf cell: the
@@ -66,161 +57,72 @@ var compiledBatchSink int
 // compiles it, and classifies the same mixed trace — half Zipf-skewed
 // rule-directed traffic, half worst-case-depth packets steered to the
 // deepest leaves — through the scalar and the grouped compiled lookup,
-// measuring per-batch latency (best of `runs` passes per path).
+// measuring per-batch latency (the pass with the lowest p50 of `runs` per
+// path; the first pass's cold start is thereby discarded).
 func MeasureCompiledBatch(family string, size int, backend string, batches, batchSize, runs int, cfg RunConfig) (CompiledBatchComparison, error) {
 	cfg = cfg.WithDefaults()
-	if batches <= 0 {
-		batches = 96
-	}
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	if runs <= 0 {
-		runs = 3
-	}
 	res := CompiledBatchComparison{
 		Family: family, Size: size, Backend: backend,
 		Group: compiled.BatchGroup, Batches: batches, BatchSize: batchSize,
 	}
-
-	fam, err := classbench.FamilyByName(family)
-	if err != nil {
-		return res, err
-	}
-	set := classbench.Generate(fam, size, cfg.Seed)
-	c, err := buildCompiledBackend(backend, set, cfg.Binth)
-	if err != nil {
-		return res, err
-	}
-	res.Grouped = c.BatchEligible()
 
 	// Trace: a flow-skewed half (the cache-miss traffic a serving path
 	// actually batches) and a worst-depth half (every packet rides a
 	// maximum-length node chain), shuffled together deterministically.
 	total := batches * batchSize
 	zipfN := total / 2
-	worstN := total - zipfN
-	var entries []packet.TraceEntry
-	entries = append(entries, classbench.ZipfTrace(set, zipfN, cfg.Flows, cfg.ZipfSkew, cfg.Seed+7)...)
-	worst := c.WorstCaseDepthPackets(worstN, cfg.Seed+13)
-	entries = append(entries, classbench.WorstCaseTrace(set, worst)...)
+	set, keys, err := fixture(family, size, zipfN, true, cfg)
+	if err != nil {
+		return res, err
+	}
+	cls, err := engine.NewWithOptions(backend, set, engine.Options{Binth: cfg.Binth, Seed: cfg.Seed})
+	if err != nil {
+		return res, err
+	}
+	cp, ok := cls.(engine.CompiledProvider)
+	if !ok {
+		return res, fmt.Errorf("perf: compiledbatch cell needs a compiled tree backend, not %q", backend)
+	}
+	c := cp.Compiled()
+	res.Grouped = c.BatchEligible()
+	worst := c.WorstCaseDepthPackets(total-zipfN, cfg.Seed+13)
+	keys = append(keys, worst...)
 	res.ZipfPackets, res.WorstDepthPackets = zipfN, len(worst)
 	rng := rand.New(rand.NewSource(cfg.Seed + 29))
-	rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-	keys := make([]rule.Packet, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
-	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 
-	out := make([]int32, batchSize)
-	scalarLats, scalarPPS := measureCompiledPasses(keys, batches, batchSize, runs, func(ps []rule.Packet) {
+	tm := timing{packets: len(keys), passes: runs, batches: batches, batch: batchSize}
+	scalar, err := tm.run(func(_, lo, hi int) error {
 		s := 0
-		for i := range ps {
-			s += c.LookupIndex(ps[i])
+		for _, p := range keys[lo:hi] {
+			s += c.LookupIndex(p)
 		}
 		compiledBatchSink = s
+		return nil
 	})
-	batchLats, batchPPS := measureCompiledPasses(keys, batches, batchSize, runs, func(ps []rule.Packet) {
-		c.LookupBatch(ps, out[:len(ps)])
+	if err != nil {
+		return res, err
+	}
+	out := make([]int32, batchSize)
+	grouped, err := tm.run(func(_, lo, hi int) error {
+		c.LookupBatch(keys[lo:hi], out[:hi-lo])
+		return nil
 	})
+	if err != nil {
+		return res, err
+	}
 
+	scalarLats, batchLats := lowest(scalar, 0.50).lats, lowest(grouped, 0.50).lats
 	res.ScalarP50Nanos = percentile(scalarLats, 0.50)
 	res.ScalarP99Nanos = percentile(scalarLats, 0.99)
 	res.BatchP50Nanos = percentile(batchLats, 0.50)
 	res.BatchP99Nanos = percentile(batchLats, 0.99)
-	res.ScalarPacketsPerSec = scalarPPS
-	res.BatchPacketsPerSec = batchPPS
+	res.ScalarPacketsPerSec = bestPPS(scalar)
+	res.BatchPacketsPerSec = bestPPS(grouped)
 	if res.BatchP50Nanos > 0 {
 		res.Factor = res.ScalarP50Nanos / res.BatchP50Nanos
 	}
 	return res, nil
-}
-
-// buildCompiledBackend builds the named tree backend over the set and
-// compiles it. Only the deterministic tree builders are supported — the
-// learned backend would put minutes of training inside a perf cell.
-func buildCompiledBackend(backend string, set *rule.Set, binth int) (*compiled.Classifier, error) {
-	var trees []*tree.Tree
-	switch backend {
-	case "hicuts":
-		cfg := hicuts.DefaultConfig()
-		if binth > 0 {
-			cfg.Binth = binth
-		}
-		t, err := hicuts.Build(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		trees = []*tree.Tree{t}
-	case "hypercuts":
-		cfg := hypercuts.DefaultConfig()
-		if binth > 0 {
-			cfg.Binth = binth
-		}
-		t, err := hypercuts.Build(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		trees = []*tree.Tree{t}
-	case "efficuts":
-		cfg := efficuts.DefaultConfig()
-		if binth > 0 {
-			cfg.Binth = binth
-		}
-		cl, err := efficuts.Build(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		trees = cl.Trees
-	case "cutsplit":
-		cfg := cutsplit.DefaultConfig()
-		if binth > 0 {
-			cfg.Binth = binth
-		}
-		cl, err := cutsplit.Build(set, cfg)
-		if err != nil {
-			return nil, err
-		}
-		trees = cl.Trees
-	default:
-		return nil, fmt.Errorf("perf: compiledbatch cell does not support backend %q", backend)
-	}
-	return compiled.Compile(set, trees...)
-}
-
-// measureCompiledPasses drives classify over `batches` disjoint windows of
-// the trace per pass, returning the sorted per-batch latencies of the best
-// pass (lowest p50 — the gated percentile) and the best pass's aggregate
-// packet rate. The first pass doubles as warmup for the pooled scratch
-// freelists; best-of-N then discards its cold-start cost.
-func measureCompiledPasses(keys []rule.Packet, batches, batchSize, runs int, classify func([]rule.Packet)) ([]int64, float64) {
-	var bestLats []int64
-	bestPPS := 0.0
-	for run := 0; run < runs; run++ {
-		lats := make([]int64, 0, batches)
-		start := time.Now()
-		total := 0
-		for b := 0; b < batches; b++ {
-			lo := (b * batchSize) % len(keys)
-			hi := lo + batchSize
-			if hi > len(keys) {
-				hi = len(keys)
-			}
-			t0 := time.Now()
-			classify(keys[lo:hi])
-			lats = append(lats, time.Since(t0).Nanoseconds())
-			total += hi - lo
-		}
-		elapsed := time.Since(start).Seconds()
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		if bestLats == nil || percentile(lats, 0.50) < percentile(bestLats, 0.50) {
-			bestLats = lats
-		}
-		if pps := float64(total) / elapsed; pps > bestPPS {
-			bestPPS = pps
-		}
-	}
-	return bestLats, bestPPS
 }
 
 // batchFallbackFloor is the no-regression bound applied when the adaptive

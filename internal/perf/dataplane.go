@@ -2,13 +2,8 @@ package perf
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"time"
-
 	"runtime"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/dataplane"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
@@ -38,8 +33,8 @@ type DataplaneComparison struct {
 	// cache on the pool path, split across per-core caches on the
 	// dataplane path).
 	CacheEntries int `json:"cache_entries"`
-	// Batch-latency percentiles, nanoseconds, per-percentile minimum
-	// across passes.
+	// Batch-latency percentiles, nanoseconds, from the pass with the
+	// lowest p99.
 	PoolP50Nanos      float64 `json:"pool_p50_nanos"`
 	PoolP99Nanos      float64 `json:"pool_p99_nanos"`
 	DataplaneP50Nanos float64 `json:"dataplane_p50_nanos"`
@@ -55,31 +50,15 @@ type DataplaneComparison struct {
 // MeasureDataplane builds the backend twice over one generated rule set —
 // worker-pool serving and dataplane serving — and pushes the same
 // flow-skewed trace through both from `submitters` concurrent goroutines,
-// measuring per-batch latency. Both paths get identical parallelism
-// (cores) and flow-cache budget; only the serving architecture differs.
+// measuring per-batch latency (the pass with the lowest p99 of `runs`).
+// Both paths get identical parallelism (cores; 0 = GOMAXPROCS) and
+// flow-cache budget; only the serving architecture differs.
 func MeasureDataplane(family string, size int, backend string, cores, submitters, batches, batchSize, cacheEntries, runs int, cfg RunConfig) (DataplaneComparison, error) {
 	cfg = cfg.WithDefaults()
-	if cores == 0 {
+	if cores <= 0 {
 		// Machine-matched: one loop per processor is the run-to-completion
 		// deployment shape (more loops than processors just adds handoffs).
 		cores = runtime.GOMAXPROCS(0)
-	} else if cores < 0 {
-		cores = 8
-	}
-	if submitters <= 0 {
-		submitters = 4
-	}
-	if batches <= 0 {
-		batches = 64
-	}
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	if cacheEntries < 0 {
-		cacheEntries = 0
-	}
-	if runs <= 0 {
-		runs = 3
 	}
 	res := DataplaneComparison{
 		Family: family, Size: size, Backend: backend,
@@ -87,17 +66,9 @@ func MeasureDataplane(family string, size int, backend string, cores, submitters
 		BatchSize: batchSize, CacheEntries: cacheEntries,
 	}
 
-	fam, err := classbench.FamilyByName(family)
+	set, keys, err := fixture(family, size, submitters*batches*batchSize, false, cfg)
 	if err != nil {
 		return res, err
-	}
-	set := classbench.Generate(fam, size, cfg.Seed)
-	// The trace generator emits flow bursts (few flows carry most packets),
-	// which is the regime both flow caches are built for.
-	trace := classbench.GenerateTrace(set, submitters*batches*batchSize, cfg.Seed+7)
-	keys := make([]rule.Packet, len(trace))
-	for i, e := range trace {
-		keys[i] = e.Key
 	}
 
 	poolEng, err := engine.NewEngine(backend, set, engine.Options{
@@ -122,68 +93,37 @@ func MeasureDataplane(family string, size int, backend string, cores, submitters
 		return res, err
 	}
 
-	poolLats, poolPPS := measureBatchLatency(poolEng.ClassifyBatch, keys, submitters, batches, batchSize, runs)
-	dpLats, dpPPS := measureBatchLatency(dp.ClassifyBatch, keys, submitters, batches, batchSize, runs)
+	tm := timing{packets: len(keys), passes: runs, batches: batches, batch: batchSize, submitters: submitters}
+	outs := make([][]engine.Result, submitters)
+	for s := range outs {
+		outs[s] = make([]engine.Result, batchSize)
+	}
+	measure := func(classify func([]rule.Packet, []engine.Result)) ([]pass, error) {
+		return tm.run(func(s, lo, hi int) error {
+			classify(keys[lo:hi], outs[s][:hi-lo])
+			return nil
+		})
+	}
+	pool, err := measure(poolEng.ClassifyBatch)
+	if err != nil {
+		return res, err
+	}
+	dpPasses, err := measure(dp.ClassifyBatch)
+	if err != nil {
+		return res, err
+	}
 
+	poolLats, dpLats := lowest(pool, 0.99).lats, lowest(dpPasses, 0.99).lats
 	res.PoolP50Nanos = percentile(poolLats, 0.50)
 	res.PoolP99Nanos = percentile(poolLats, 0.99)
 	res.DataplaneP50Nanos = percentile(dpLats, 0.50)
 	res.DataplaneP99Nanos = percentile(dpLats, 0.99)
-	res.PoolPacketsPerSec = poolPPS
-	res.DataplanePacketsPerSec = dpPPS
+	res.PoolPacketsPerSec = bestPPS(pool)
+	res.DataplanePacketsPerSec = bestPPS(dpPasses)
 	if res.DataplaneP99Nanos > 0 {
 		res.Factor = res.PoolP99Nanos / res.DataplaneP99Nanos
 	}
 	return res, nil
-}
-
-// measureBatchLatency drives classify from `submitters` concurrent
-// goroutines, each submitting `batches` disjoint windows of the trace per
-// pass, and returns the sorted per-batch latencies of the best pass (the
-// pass with the lowest p99 — best-of-N for the same noise-suppression
-// reason as every other cell) plus the best pass's aggregate packet rate.
-func measureBatchLatency(classify func([]rule.Packet, []engine.Result), keys []rule.Packet, submitters, batches, batchSize, runs int) ([]int64, float64) {
-	var bestLats []int64
-	bestPPS := 0.0
-	totalPackets := submitters * batches * batchSize
-	for run := 0; run < runs; run++ {
-		lats := make([][]int64, submitters)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for s := 0; s < submitters; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				out := make([]engine.Result, batchSize)
-				mine := make([]int64, 0, batches)
-				for b := 0; b < batches; b++ {
-					lo := ((s*batches + b) * batchSize) % len(keys)
-					hi := lo + batchSize
-					if hi > len(keys) {
-						hi = len(keys)
-					}
-					t0 := time.Now()
-					classify(keys[lo:hi], out[:hi-lo])
-					mine = append(mine, time.Since(t0).Nanoseconds())
-				}
-				lats[s] = mine
-			}(s)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		merged := make([]int64, 0, submitters*batches)
-		for _, l := range lats {
-			merged = append(merged, l...)
-		}
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-		if bestLats == nil || percentile(merged, 0.99) < percentile(bestLats, 0.99) {
-			bestLats = merged
-		}
-		if pps := float64(totalPackets) / elapsed; pps > bestPPS {
-			bestPPS = pps
-		}
-	}
-	return bestLats, bestPPS
 }
 
 // CheckDataplane asserts the dataplane's headline claim: under concurrent

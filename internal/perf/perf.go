@@ -10,6 +10,10 @@
 // thresholds; cmd/perflab and the CI bench gate are thin shells over this
 // package, and internal/bench renders its text tables from the same data.
 //
+// Beside the grid, each CI gate cell is a Measure*/Check* pair. The cells
+// build their workloads with one fixture and time them with one timing
+// core (timing.go); each keeps the statistic its gate bounds.
+//
 // Determinism: rule sets, traces and therefore every structural metric
 // (rules, memory, lookup cost, entries) are pure functions of the seed.
 // Timing fields (build/latency/throughput) vary run to run and machine to

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
-	"neurocuts/internal/rule"
 	"neurocuts/internal/server"
 )
 
@@ -41,35 +39,18 @@ type ProtoComparison struct {
 // in-process.
 func MeasureProtoThroughput(family string, size int, backend string, packets, batchSize, runs int, cfg RunConfig) (ProtoComparison, error) {
 	cfg = cfg.WithDefaults()
-	if packets <= 0 {
-		packets = 50000
-	}
-	if batchSize <= 0 {
-		batchSize = 1024
-	}
-	if batchSize > server.MaxBatch {
-		batchSize = server.MaxBatch
-	}
-	if runs <= 0 {
-		runs = 3
-	}
+	batchSize = min(batchSize, server.MaxBatch)
 	res := ProtoComparison{Family: family, Size: size, Backend: backend, Packets: packets, BatchSize: batchSize}
 
-	fam, err := classbench.FamilyByName(family)
+	set, keys, err := fixture(family, size, packets, false, cfg)
 	if err != nil {
 		return res, err
 	}
-	set := classbench.Generate(fam, size, cfg.Seed)
 	eng, err := engine.NewEngine(backend, set, engine.Options{Binth: cfg.Binth, Seed: cfg.Seed})
 	if err != nil {
 		return res, err
 	}
 	defer eng.Close()
-	trace := classbench.GenerateTrace(set, packets, cfg.Seed+7)
-	keys := make([]rule.Packet, len(trace))
-	for i, e := range trace {
-		keys[i] = e.Key
-	}
 
 	srv := server.New(eng)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -80,55 +61,39 @@ func MeasureProtoThroughput(family string, size int, backend string, packets, ba
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-
-	// In-process ceiling.
-	out := make([]engine.Result, len(keys))
-	res.EnginePacketsPerSec, err = bestRate(runs, func() error {
-		for lo := 0; lo < len(keys); lo += batchSize {
-			hi := min(lo+batchSize, len(keys))
-			eng.ClassifyBatch(keys[lo:hi], out[lo:hi])
-		}
-		return nil
-	}, len(keys))
-	if err != nil {
-		return res, err
-	}
-
-	// v1 text protocol.
 	v1, err := server.Dial(ctx, addr.String())
 	if err != nil {
 		return res, err
 	}
 	defer v1.Close()
-	res.V1PacketsPerSec, err = bestRate(runs, func() error {
-		for lo := 0; lo < len(keys); lo += batchSize {
-			hi := min(lo+batchSize, len(keys))
-			if _, err := v1.ClassifyBatch(keys[lo:hi]); err != nil {
-				return fmt.Errorf("v1 batch: %w", err)
-			}
-		}
-		return nil
-	}, len(keys))
-	if err != nil {
-		return res, err
-	}
-
-	// v2 binary protocol.
 	v2, err := server.DialV2(ctx, addr.String())
 	if err != nil {
 		return res, err
 	}
 	defer v2.Close()
-	res.V2PacketsPerSec, err = bestRate(runs, func() error {
-		for lo := 0; lo < len(keys); lo += batchSize {
-			hi := min(lo+batchSize, len(keys))
-			if _, err := v2.ClassifyBatch(keys[lo:hi]); err != nil {
-				return fmt.Errorf("v2 batch: %w", err)
-			}
+
+	tm := traceTiming(len(keys), batchSize, runs)
+	out := make([]engine.Result, batchSize)
+	if res.EnginePacketsPerSec, err = tm.rate(func(_, lo, hi int) error {
+		eng.ClassifyBatch(keys[lo:hi], out[:hi-lo]) // the in-process ceiling
+		return nil
+	}); err != nil {
+		return res, err
+	}
+	if res.V1PacketsPerSec, err = tm.rate(func(_, lo, hi int) error {
+		if _, err := v1.ClassifyBatch(keys[lo:hi]); err != nil {
+			return fmt.Errorf("v1 batch: %w", err)
 		}
 		return nil
-	}, len(keys))
-	if err != nil {
+	}); err != nil {
+		return res, err
+	}
+	if res.V2PacketsPerSec, err = tm.rate(func(_, lo, hi int) error {
+		if _, err := v2.ClassifyBatch(keys[lo:hi]); err != nil {
+			return fmt.Errorf("v2 batch: %w", err)
+		}
+		return nil
+	}); err != nil {
 		return res, err
 	}
 
@@ -136,22 +101,6 @@ func MeasureProtoThroughput(family string, size int, backend string, packets, ba
 		res.Factor = res.V2PacketsPerSec / res.V1PacketsPerSec
 	}
 	return res, nil
-}
-
-// bestRate runs fn `runs` times and returns the best packets-per-second
-// rate (best-of-N suppresses scheduler noise, matching MeasureCell).
-func bestRate(runs int, fn func() error, packets int) (float64, error) {
-	best := 0.0
-	for i := 0; i < runs; i++ {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		if rate := float64(packets) / time.Since(start).Seconds(); rate > best {
-			best = rate
-		}
-	}
-	return best, nil
 }
 
 // CheckProtoThroughput asserts the v2 protocol's headline claim: batched

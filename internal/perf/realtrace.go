@@ -3,13 +3,12 @@ package perf
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/iface"
+	"neurocuts/internal/packet"
 	"neurocuts/internal/rule"
 )
 
@@ -42,8 +41,9 @@ type RealTraceResult struct {
 	// ReplayFraction is ReplayPacketsPerSec / DirectPacketsPerSec: how much
 	// of the classify ceiling survives the ingestion layer.
 	ReplayFraction float64 `json:"replay_fraction"`
-	// Matches is the replay's match count, cross-checked against the direct
-	// path so a silently corrupted decode cannot post a good number.
+	// Matches is the trace's match count. Every replayed packet's match is
+	// cross-checked against the direct path, so a silently corrupted decode
+	// cannot post a good number.
 	Matches int `json:"matches"`
 }
 
@@ -52,29 +52,25 @@ type RealTraceResult struct {
 // ingestion paths (best of runs passes each).
 func MeasureRealTrace(family string, size int, backend string, packets, batchSize, runs int, cfg RunConfig) (RealTraceResult, error) {
 	cfg = cfg.WithDefaults()
-	if packets <= 0 {
-		packets = 50000
-	}
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	if runs <= 0 {
-		runs = 3
-	}
 	res := RealTraceResult{Family: family, Size: size, Backend: backend, Packets: packets, BatchSize: batchSize}
 
-	fam, err := classbench.FamilyByName(family)
+	set, keys, err := fixture(family, size, packets, false, cfg)
 	if err != nil {
 		return res, err
 	}
-	set := classbench.Generate(fam, size, cfg.Seed)
 	eng, err := engine.NewEngine(backend, set, engine.Options{Binth: cfg.Binth, Seed: cfg.Seed})
 	if err != nil {
 		return res, err
 	}
 	defer eng.Close()
 
-	trace := classbench.GenerateTrace(set, packets, cfg.Seed+7)
+	// The keys every path classifies are the *decoded* ones (canonical wire
+	// form), so direct and replay measure the same classification work.
+	trace := make([]packet.TraceEntry, len(keys))
+	for i, k := range keys {
+		trace[i].Key = k
+		keys[i] = iface.CanonicalKey(k)
+	}
 	var pcap bytes.Buffer
 	if err := iface.WriteTracePcap(&pcap, trace); err != nil {
 		return res, err
@@ -82,92 +78,57 @@ func MeasureRealTrace(family string, size int, backend string, packets, batchSiz
 	res.PcapBytes = pcap.Len()
 	data := pcap.Bytes()
 
-	// The keys every path classifies are the *decoded* ones (canonical wire
-	// form), so direct and replay measure the same classification work.
-	keys := make([]rule.Packet, len(trace))
-	for i, e := range trace {
-		keys[i] = iface.CanonicalKey(e.Key)
+	// Ground truth for the replay cross-check, compact enough to stay
+	// cache-resident while replay reads it.
+	direct := make([]engine.Result, len(keys))
+	eng.ClassifyBatch(keys, direct)
+	matched := make([]bool, len(keys))
+	for i := range direct {
+		if matched[i] = direct[i].OK; matched[i] {
+			res.Matches++
+		}
 	}
 
-	// Direct ceiling, and the ground-truth match count.
-	out := make([]engine.Result, len(keys))
-	directMatches := 0
-	eng.ClassifyBatch(keys, out)
-	for i := range out {
-		if out[i].OK {
-			directMatches++
-		}
-	}
-	res.DirectPacketsPerSec, err = bestRate(runs, func() error {
-		for lo := 0; lo < len(keys); lo += batchSize {
-			hi := min(lo+batchSize, len(keys))
-			eng.ClassifyBatch(keys[lo:hi], out[lo:hi])
-		}
+	tm := traceTiming(len(keys), batchSize, runs)
+	out := make([]engine.Result, batchSize)
+	if res.DirectPacketsPerSec, err = tm.rate(func(_, lo, hi int) error {
+		eng.ClassifyBatch(keys[lo:hi], out[:hi-lo]) // the ceiling
 		return nil
-	}, len(keys))
-	if err != nil {
+	}); err != nil {
 		return res, err
 	}
 
-	// Pure decode: the ingestion layer alone.
+	// Pure decode: the ingestion layer alone; then end-to-end replay,
+	// decode + classify, the classifyd -pcap loop. Each pass reads the
+	// capture from its start.
+	var r *iface.PcapReader
 	ps := make([]rule.Packet, batchSize)
-	res.DecodePacketsPerSec, err = bestRate(runs, func() error {
-		r, err := iface.NewPcapReader(bytes.NewReader(data), iface.PcapConfig{})
-		if err != nil {
-			return err
-		}
-		got := 0
-		for {
-			n, err := r.ReadBatch(ps)
-			got += n
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-		}
-		if got != packets {
-			return fmt.Errorf("decode pass read %d packets, want %d", got, packets)
+	read := tm
+	read.beforePass = func() (err error) {
+		r, err = iface.NewPcapReader(bytes.NewReader(data), iface.PcapConfig{})
+		return err
+	}
+	readWindow := func(_, lo, hi int) error {
+		if n, err := r.ReadBatch(ps[:hi-lo]); n != hi-lo {
+			return fmt.Errorf("decoding packets [%d, %d): read %d (%v)", lo, hi, n, err)
 		}
 		return nil
-	}, packets)
-	if err != nil {
+	}
+	if res.DecodePacketsPerSec, err = read.rate(readWindow); err != nil {
 		return res, err
 	}
-
-	// End-to-end replay: decode + classify, the classifyd -pcap loop.
-	resBatch := make([]engine.Result, batchSize)
-	res.ReplayPacketsPerSec, err = bestRate(runs, func() error {
-		r, err := iface.NewPcapReader(bytes.NewReader(data), iface.PcapConfig{})
-		if err != nil {
+	if res.ReplayPacketsPerSec, err = read.rate(func(_, lo, hi int) error {
+		if err := readWindow(0, lo, hi); err != nil {
 			return err
 		}
-		matches := 0
-		for {
-			n, err := r.ReadBatch(ps)
-			if n > 0 {
-				eng.ClassifyBatch(ps[:n], resBatch[:n])
-				for i := 0; i < n; i++ {
-					if resBatch[i].OK {
-						matches++
-					}
-				}
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
+		eng.ClassifyBatch(ps[:hi-lo], out[:hi-lo])
+		for i := range hi - lo {
+			if out[i].OK != matched[lo+i] {
+				return fmt.Errorf("replay packet %d matched=%v, direct matched=%v", lo+i, out[i].OK, matched[lo+i])
 			}
 		}
-		if matches != directMatches {
-			return fmt.Errorf("replay matched %d packets, direct matched %d", matches, directMatches)
-		}
-		res.Matches = matches
 		return nil
-	}, packets)
-	if err != nil {
+	}); err != nil {
 		return res, err
 	}
 
@@ -187,16 +148,12 @@ func MeasureRealTrace(family string, size int, backend string, packets, batchSiz
 		return res, err
 	}
 	defer cli.Close()
-	res.ShmPacketsPerSec, err = bestRate(runs, func() error {
-		for lo := 0; lo < len(keys); lo += batchSize {
-			hi := min(lo+batchSize, len(keys))
-			if err := cli.ClassifyBatchInto(keys[lo:hi], out[lo:hi]); err != nil {
-				return fmt.Errorf("shm batch: %w", err)
-			}
+	if res.ShmPacketsPerSec, err = tm.rate(func(_, lo, hi int) error {
+		if err := cli.ClassifyBatchInto(keys[lo:hi], out[:hi-lo]); err != nil {
+			return fmt.Errorf("shm batch: %w", err)
 		}
 		return nil
-	}, len(keys))
-	if err != nil {
+	}); err != nil {
 		return res, err
 	}
 

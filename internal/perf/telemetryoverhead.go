@@ -2,13 +2,8 @@ package perf
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"time"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
-	"neurocuts/internal/rule"
 	"neurocuts/internal/telemetry"
 )
 
@@ -53,34 +48,21 @@ type TelemetryOverhead struct {
 // MeasureTelemetryOverhead builds the same backend twice over one generated
 // rule set — telemetry off and telemetry fully armed (slow threshold 0, so
 // the flight recorder fires on every lookup) — and drives the identical
-// Zipf-skewed trace through ClassifyBatch on both, measuring per-batch
-// latency (best of `runs` passes per configuration, after one unmeasured
-// warmup pass) and steady-state mallocs per batch.
+// Zipf-skewed trace through ClassifyBatch on both. Per configuration, one
+// unmeasured warm-up pass (scratch freelists, flow state, branch
+// predictors) precedes `runs` measured passes; the latencies come from the
+// pass with the lowest p50, the mallocs per batch are the lowest of any
+// pass — the steady-state rate, immune to one-off GC-metadata noise.
 func MeasureTelemetryOverhead(family string, size int, backend string, batches, batchSize, runs int, cfg RunConfig) (TelemetryOverhead, error) {
 	cfg = cfg.WithDefaults()
-	if batches <= 0 {
-		batches = 96
-	}
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	if runs <= 0 {
-		runs = 3
-	}
 	res := TelemetryOverhead{
 		Family: family, Size: size, Backend: backend,
 		Batches: batches, BatchSize: batchSize,
 	}
 
-	fam, err := classbench.FamilyByName(family)
+	set, keys, err := fixture(family, size, batches*batchSize, true, cfg)
 	if err != nil {
 		return res, err
-	}
-	set := classbench.Generate(fam, size, cfg.Seed)
-	entries := classbench.ZipfTrace(set, batches*batchSize, cfg.Flows, cfg.ZipfSkew, cfg.Seed+7)
-	keys := make([]rule.Packet, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
 	}
 
 	// Shards: 1 keeps both engines on the inline batch path, so the measured
@@ -104,8 +86,28 @@ func MeasureTelemetryOverhead(family string, size int, backend string, batches, 
 	}
 	defer on.Close()
 
-	offLats, offAllocs := measureTelemetryPasses(off, keys, batches, batchSize, runs)
-	onLats, onAllocs := measureTelemetryPasses(on, keys, batches, batchSize, runs)
+	tm := timing{packets: len(keys), warmup: true, passes: runs, batches: batches, batch: batchSize}
+	out := make([]engine.Result, batchSize)
+	measure := func(eng *engine.Engine) (lats []int64, allocsPerBatch float64, err error) {
+		ps, err := tm.run(func(_, lo, hi int) error {
+			eng.ClassifyBatch(keys[lo:hi], out[:hi-lo])
+			return nil
+		})
+		for i, p := range ps {
+			if perBatch := float64(p.mallocs) / float64(batches); i == 0 || perBatch < allocsPerBatch {
+				allocsPerBatch = perBatch
+			}
+		}
+		return lowest(ps, 0.50).lats, allocsPerBatch, err
+	}
+	offLats, offAllocs, err := measure(off)
+	if err != nil {
+		return res, err
+	}
+	onLats, onAllocs, err := measure(on)
+	if err != nil {
+		return res, err
+	}
 
 	res.OffP50Nanos = percentile(offLats, 0.50)
 	res.OffP99Nanos = percentile(offLats, 0.99)
@@ -120,56 +122,6 @@ func MeasureTelemetryOverhead(family string, size int, backend string, batches, 
 	res.HistogramSamples = tel.LookupBatch.Snapshot().Count()
 	res.SlowCaptured = tel.Slow.Captured()
 	return res, nil
-}
-
-// measureTelemetryPasses drives ClassifyBatch over `batches` disjoint windows
-// of the trace per pass. Pass zero is unmeasured warmup (scratch freelists,
-// flow-state, branch predictors); each measured pass then records per-batch
-// latencies and the pass's total malloc count. It returns the sorted
-// latencies of the best pass (lowest p50) and the minimum mallocs-per-batch
-// across measured passes — the steady-state allocation rate, immune to
-// one-off warmup or GC-metadata noise in a single pass.
-func measureTelemetryPasses(eng *engine.Engine, keys []rule.Packet, batches, batchSize, runs int) ([]int64, float64) {
-	out := make([]engine.Result, batchSize)
-	lats := make([]int64, batches)
-	drive := func(measured bool) uint64 {
-		var before, after runtime.MemStats
-		if measured {
-			runtime.ReadMemStats(&before)
-		}
-		for b := 0; b < batches; b++ {
-			lo := (b * batchSize) % len(keys)
-			hi := lo + batchSize
-			if hi > len(keys) {
-				hi = len(keys)
-			}
-			t0 := time.Now()
-			eng.ClassifyBatch(keys[lo:hi], out[:hi-lo])
-			lats[b] = time.Since(t0).Nanoseconds()
-		}
-		if !measured {
-			return 0
-		}
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
-	}
-
-	drive(false)
-	var bestLats []int64
-	minAllocs := -1.0
-	for run := 0; run < runs; run++ {
-		mallocs := drive(true)
-		sorted := make([]int64, batches)
-		copy(sorted, lats)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		if bestLats == nil || percentile(sorted, 0.50) < percentile(bestLats, 0.50) {
-			bestLats = sorted
-		}
-		if perBatch := float64(mallocs) / float64(batches); minAllocs < 0 || perBatch < minAllocs {
-			minAllocs = perBatch
-		}
-	}
-	return bestLats, minAllocs
 }
 
 // CheckTelemetry asserts the telemetry cost contract: full instrumentation

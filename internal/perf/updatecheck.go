@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"neurocuts/internal/classbench"
 	"neurocuts/internal/engine"
 	"neurocuts/internal/rule"
 )
@@ -57,31 +56,28 @@ type UpdateSpeedup struct {
 // batch lookups before and after filling the overlay.
 func MeasureUpdateSpeedup(family string, size int, backend string, updates int, cfg RunConfig) (UpdateSpeedup, error) {
 	cfg = cfg.WithDefaults()
-	if updates <= 0 {
-		updates = 200
-	}
-	fam, err := classbench.FamilyByName(family)
-	if err != nil {
-		return UpdateSpeedup{}, err
-	}
 	res := UpdateSpeedup{Family: family, Size: size, Backend: backend, Updates: updates}
+	set, keys, err := fixture(family, size, 16*overlayLookupBatch, false, cfg)
+	if err != nil {
+		return res, err
+	}
 
 	overlayOpts := engine.Options{Shards: 1, Binth: cfg.Binth, Seed: cfg.Seed,
 		OnlineUpdates: true, CompactThreshold: -1}
 	rebuildOpts := engine.Options{Shards: 1, Binth: cfg.Binth, Seed: cfg.Seed}
 
-	res.OverlayP50Nanos, err = measureUpdateP50(backend, fam, size, cfg.Seed, updates, overlayOpts)
+	res.OverlayP50Nanos, err = measureUpdateP50(backend, set, updates, overlayOpts)
 	if err != nil {
 		return res, fmt.Errorf("perf: overlay update measurement: %w", err)
 	}
-	res.RebuildP50Nanos, err = measureUpdateP50(backend, fam, size, cfg.Seed, updates, rebuildOpts)
+	res.RebuildP50Nanos, err = measureUpdateP50(backend, set, updates, rebuildOpts)
 	if err != nil {
 		return res, fmt.Errorf("perf: rebuild update measurement: %w", err)
 	}
 	if res.OverlayP50Nanos > 0 {
 		res.Factor = res.RebuildP50Nanos / res.OverlayP50Nanos
 	}
-	res.EmptyLookupNanos, res.PendingLookupNanos, err = measureOverlayLookup(backend, fam, size, cfg.Seed, overlayOpts)
+	res.EmptyLookupNanos, res.PendingLookupNanos, err = measureOverlayLookup(backend, set, keys, overlayOpts)
 	if err != nil {
 		return res, fmt.Errorf("perf: overlay lookup measurement: %w", err)
 	}
@@ -94,38 +90,29 @@ func MeasureUpdateSpeedup(family string, size int, backend string, updates int, 
 // measureOverlayLookup returns the per-packet batch lookup p50 of a freshly
 // built engine, first with an empty overlay and then with
 // engine.DefaultCompactThreshold-1 distinct pending inserts (copies of
-// distinct base rules at rotating positions). opts must disable background
-// compaction so the overlay stays full while it is measured.
-func measureOverlayLookup(backend string, fam classbench.Family, size int, seed int64, opts engine.Options) (empty, pending float64, err error) {
-	set := classbench.Generate(fam, size, seed)
+// distinct base rules at rotating positions). Each p50 pools the batches of
+// four passes over the keys after one warm-up pass. opts must disable
+// background compaction so the overlay stays full while it is measured.
+func measureOverlayLookup(backend string, set *rule.Set, keys []rule.Packet, opts engine.Options) (empty, pending float64, err error) {
 	eng, err := engine.NewEngine(backend, set, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer eng.Close()
-	trace := classbench.GenerateTrace(set, 16*overlayLookupBatch, seed)
-	ps := make([]rule.Packet, len(trace))
-	for i, e := range trace {
-		ps[i] = e.Key
-	}
+	tm := traceTiming(len(keys), overlayLookupBatch, 4)
+	tm.warmup = true
 	out := make([]engine.Result, overlayLookupBatch)
-	p50 := func() float64 {
-		const rounds = 4
-		durations := make([]int64, 0, rounds*len(ps)/overlayLookupBatch)
-		for r := 0; r <= rounds; r++ { // round 0 warms up unmeasured
-			for off := 0; off < len(ps); off += overlayLookupBatch {
-				t0 := time.Now()
-				eng.ClassifyBatch(ps[off:off+overlayLookupBatch], out)
-				if r > 0 {
-					durations = append(durations, time.Since(t0).Nanoseconds())
-				}
-			}
-		}
-		sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
-		return percentile(durations, 0.50) / overlayLookupBatch
+	p50 := func() (float64, error) {
+		ps, err := tm.run(func(_, lo, hi int) error {
+			eng.ClassifyBatch(keys[lo:hi], out[:hi-lo])
+			return nil
+		})
+		return percentile(pooled(ps), 0.50) / overlayLookupBatch, err
 	}
 
-	empty = p50()
+	if empty, err = p50(); err != nil {
+		return 0, 0, err
+	}
 	inserts := engine.DefaultCompactThreshold - 1
 	for i := 0; i < inserts; i++ {
 		// 7919 is prime, so the copied base rules are distinct whenever the
@@ -138,14 +125,14 @@ func measureOverlayLookup(backend string, fam classbench.Family, size int, seed 
 	if n := eng.UpdaterStats().OverlayRules; n != inserts {
 		return 0, 0, fmt.Errorf("overlay holds %d of %d pending inserts", n, inserts)
 	}
-	return empty, p50(), nil
+	pending, err = p50()
+	return empty, pending, err
 }
 
 // measureUpdateP50 applies `updates` alternating inserts and deletes to a
 // freshly built engine and returns the median per-update latency. Inserts
 // land at rotating positions so the workload is not a best-case pattern.
-func measureUpdateP50(backend string, fam classbench.Family, size int, seed int64, updates int, opts engine.Options) (float64, error) {
-	set := classbench.Generate(fam, size, seed)
+func measureUpdateP50(backend string, set *rule.Set, updates int, opts engine.Options) (float64, error) {
 	eng, err := engine.NewEngine(backend, set, opts)
 	if err != nil {
 		return 0, err

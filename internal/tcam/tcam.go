@@ -42,12 +42,17 @@ type Classifier struct {
 	ruleCount int
 }
 
+// DefaultExpandLimit is the per-rule entry budget of range expansion that
+// Build applies when given a non-positive limit.
+const DefaultExpandLimit = 1024
+
 // Build programs the TCAM with the classifier, expanding range fields into
 // prefixes. Rules whose expansion would exceed expandLimit entries are
-// rejected (as real TCAM compilers do); expandLimit <= 0 selects 1024.
+// rejected (as real TCAM compilers do); expandLimit <= 0 selects
+// DefaultExpandLimit.
 func Build(s *rule.Set, expandLimit int) (*Classifier, error) {
 	if expandLimit <= 0 {
-		expandLimit = 1024
+		expandLimit = DefaultExpandLimit
 	}
 	c := &Classifier{}
 	for _, r := range s.Rules() {
