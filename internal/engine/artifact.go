@@ -64,7 +64,7 @@ func NewEngineFromArtifact(path string, opts Options) (*Engine, error) {
 func (e *Engine) artifactMetadata(s *snapshot) compiled.Metadata {
 	return compiled.Metadata{
 		Backend:     s.backend,
-		Rules:       s.set.Len(),
+		Rules:       s.ruleCount(),
 		Binth:       e.opts.Binth,
 		CreatedUnix: time.Now().Unix(),
 	}
@@ -94,7 +94,7 @@ func (e *Engine) SaveArtifact(path string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.snap.Load()
-	if _, overlay := s.cls.(*overlayClassifier); overlay {
+	if s.view != nil {
 		if err := e.compactLocked(); err != nil {
 			return err
 		}
@@ -136,10 +136,11 @@ func (e *Engine) rotateJournalLocked(s *snapshot) error {
 	if e.journal == nil {
 		return nil
 	}
+	set := s.rules()
 	return e.journal.Rotate(updater.JournalMeta{
 		Backend:     s.backend,
-		BaseRules:   s.set.Len(),
-		BaseCRC:     updater.Fingerprint(s.set),
+		BaseRules:   set.Len(),
+		BaseCRC:     updater.Fingerprint(set),
 		CreatedUnix: time.Now().Unix(),
 	})
 }
@@ -159,7 +160,7 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	cur := e.snap.Load()
 	c, meta, err := compiled.LoadFile(path)
 	if err != nil {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
+		return UpdateResult{Version: cur.version, Rules: cur.ruleCount()},
 			fmt.Errorf("engine: loading artifact %s: %w", path, err)
 	}
 	set := c.RuleSet()
@@ -172,7 +173,7 @@ func (e *Engine) LoadArtifact(path string) (UpdateResult, error) {
 	if e.updaterOn {
 		base, err := updater.NewBase(set, cls.Classify, cls.ClassifyBatch)
 		if err != nil {
-			return UpdateResult{Version: cur.version, Rules: cur.set.Len()}, err
+			return UpdateResult{Version: cur.version, Rules: cur.ruleCount()}, err
 		}
 		ns.base = base
 	}

@@ -81,7 +81,9 @@ type Classifier interface {
 // backend identity travels with the snapshot because LoadArtifact can swap
 // in a classifier built by a different backend.
 type snapshot struct {
-	cls     Classifier
+	cls Classifier
+	// set is the rule list cls was built over; nil on a snapshot serving a
+	// delta overlay, whose rule list is view.Merged() (see rules).
 	set     *rule.Set
 	version uint64
 	// backend is the registry name of the backend that produced cls.
@@ -98,6 +100,37 @@ type snapshot struct {
 	// base is the overlay subsystem's view-derivation base (nil when the
 	// updater is disabled). It is replaced on every compaction.
 	base *updater.Base
+	// view is the merged view cls serves when it is an *overlayClassifier
+	// (nil otherwise).
+	view *updater.View
+}
+
+// rules returns the snapshot's live rule list. An overlay snapshot's merged
+// list is built on the first call (once per snapshot; see View.Merged).
+func (s *snapshot) rules() *rule.Set {
+	if s.view != nil {
+		return s.view.Merged()
+	}
+	return s.set
+}
+
+// ruleCount returns the live rule count without building an overlay
+// snapshot's merged list.
+func (s *snapshot) ruleCount() int {
+	if s.view != nil {
+		return s.view.Len()
+	}
+	return s.set.Len()
+}
+
+// updaterView is the View the next overlay update derives from: the
+// snapshot's merged view, or the base's own empty view right after a build
+// or compaction. Only valid when base is set.
+func (s *snapshot) updaterView() *updater.View {
+	if s.view != nil {
+		return s.view
+	}
+	return s.base.View()
 }
 
 // Engine serves a registered backend with sharded batch lookups and
@@ -306,7 +339,7 @@ func (e *Engine) Stats() EngineStats {
 	hits, misses := e.CacheStats()
 	return EngineStats{
 		Backend:        s.backend,
-		Rules:          s.set.Len(),
+		Rules:          s.ruleCount(),
 		Version:        s.version,
 		Lookups:        e.lookups.Load() + e.batchPackets.Load(),
 		Batches:        e.batches.Load(),
@@ -376,8 +409,11 @@ func (e *Engine) Backend() string { return e.snap.Load().backend }
 func (e *Engine) Version() uint64 { return e.snap.Load().version }
 
 // Rules returns the current snapshot's rule set. The returned set is
-// immutable: updates replace it rather than mutating it.
-func (e *Engine) Rules() *rule.Set { return e.snap.Load().set }
+// immutable: updates replace it rather than mutating it. While overlay
+// updates are pending the set is built on the first call per snapshot
+// (O(rules)), so serving paths that only need the count should read
+// Stats().Rules or an update's UpdateResult.Rules instead.
+func (e *Engine) Rules() *rule.Set { return e.snap.Load().rules() }
 
 // Classify looks up one packet in the current snapshot, consulting the flow
 // cache first when one is configured. The path performs zero heap
@@ -615,17 +651,14 @@ func (e *Engine) doInsert(pos int, r rule.Rule) (UpdateResult, error) {
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
 	// Clamp before journaling so replay applies the position actually used.
-	if pos < 0 {
-		pos = 0
-	}
-	if pos > cur.set.Len() {
-		pos = cur.set.Len()
-	}
+	pos = min(max(pos, 0), cur.ruleCount())
 	if e.updaterOn && cur.base != nil {
 		r.ID = e.nextID
-		next := cur.set.Clone()
-		next.Insert(pos, r)
-		res, err := e.applyOverlayLocked(cur, next, updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
+		view, err := cur.updaterView().Insert(pos, r)
+		if err != nil {
+			return UpdateResult{Version: cur.version, Rules: cur.ruleCount()}, err
+		}
+		res, err := e.applyOverlayLocked(cur, view, updater.Op{Kind: updater.OpInsert, Pos: pos, ID: r.ID, Rule: r})
 		if err == nil {
 			e.nextID++
 		}
@@ -671,6 +704,17 @@ func (e *Engine) doDelete(id int) (UpdateResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	cur := e.snap.Load()
+	notFound := func() (UpdateResult, error) {
+		return UpdateResult{Version: cur.version, Rules: cur.ruleCount()},
+			fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.ruleCount())
+	}
+	if e.updaterOn && cur.base != nil {
+		view, err := cur.updaterView().Delete(id)
+		if err != nil { // Delete's only error: no live rule has the ID
+			return notFound()
+		}
+		return e.applyOverlayLocked(cur, view, updater.Op{Kind: updater.OpDelete, ID: id})
+	}
 	idx := -1
 	for i, r := range cur.set.Rules() {
 		if r.ID == id {
@@ -679,13 +723,7 @@ func (e *Engine) doDelete(id int) (UpdateResult, error) {
 		}
 	}
 	if idx < 0 {
-		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},
-			fmt.Errorf("engine: delete rule %d: %w (%d rules live)", id, ErrRuleNotFound, cur.set.Len())
-	}
-	if e.updaterOn && cur.base != nil {
-		next := cur.set.Clone()
-		next.Remove(idx)
-		return e.applyOverlayLocked(cur, next, updater.Op{Kind: updater.OpDelete, ID: id})
+		return notFound()
 	}
 	if cur.build == nil {
 		return UpdateResult{Version: cur.version, Rules: cur.set.Len()},

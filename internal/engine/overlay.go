@@ -101,17 +101,14 @@ func (e *Engine) initUpdater() error {
 	return nil
 }
 
-// replayJournal applies recovered journal records to the engine's starting
-// rule list and publishes one merged view over them. One snapshot covers
-// the whole replay; the version advances by the number of replayed updates
-// so it matches what a non-crashed engine would report.
+// replayJournal folds recovered journal records over the engine's starting
+// rule list, through the same View.Insert/View.Delete as online updates,
+// and publishes one merged view over them. One snapshot covers the whole
+// replay; the version advances by the number of replayed updates so it
+// matches what a non-crashed engine would report.
 func (e *Engine) replayJournal(ops []updater.Op) error {
 	cur := e.snap.Load()
-	merged, maxID, err := updater.Replay(cur.set, ops)
-	if err != nil {
-		return err
-	}
-	view, err := updater.NewView(cur.base, merged)
+	view, maxID, err := updater.Replay(cur.base.View(), ops)
 	if err != nil {
 		return err
 	}
@@ -123,33 +120,30 @@ func (e *Engine) replayJournal(ops []updater.Op) error {
 	return nil
 }
 
-// applyOverlayLocked publishes one update through the overlay path: derive
-// the next view, journal the op, swap the snapshot. Caller holds e.mu.
-func (e *Engine) applyOverlayLocked(cur *snapshot, next *rule.Set, op updater.Op) (UpdateResult, error) {
-	fail := UpdateResult{Version: cur.version, Rules: cur.set.Len()}
-	view, err := updater.NewView(cur.base, next)
-	if err != nil {
-		return fail, err
-	}
+// applyOverlayLocked publishes one update through the overlay path: journal
+// the op, then swap in a snapshot serving view, the View the update
+// derived. Caller holds e.mu.
+func (e *Engine) applyOverlayLocked(cur *snapshot, view *updater.View, op updater.Op) (UpdateResult, error) {
 	ns := overlaySnapshot(view, cur.baseCls, cur, cur.version+1)
 	// Journal before publish: an update is acknowledged only once durable.
 	if e.journal != nil {
 		if err := e.journal.Append(op); err != nil {
-			return fail, err
+			return UpdateResult{Version: cur.version, Rules: cur.ruleCount()}, err
 		}
 	}
 	e.publishSnap(ns)
 	e.afterOverlayPublish(ns)
-	return UpdateResult{ID: op.ID, Version: ns.version, Rules: next.Len()}, nil
+	return UpdateResult{ID: op.ID, Version: ns.version, Rules: view.Len()}, nil
 }
 
 // overlaySnapshot is the snapshot serving view over its base classifier
 // baseCls, at the given version; the backend and its builder carry over
-// from prev.
+// from prev. It carries no eager rule set: rules() builds the merged list
+// on demand.
 func overlaySnapshot(view *updater.View, baseCls Classifier, prev *snapshot, version uint64) *snapshot {
 	m := baseCls.Metrics()
-	m.Rules = view.Merged().Len()
-	return &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: baseCls, set: view.Merged(),
+	m.Rules = view.Len()
+	return &snapshot{cls: &overlayClassifier{view: view, m: m}, baseCls: baseCls, view: view,
 		version: version, backend: prev.backend, build: prev.build, base: view.Base()}
 }
 
@@ -157,12 +151,11 @@ func overlaySnapshot(view *updater.View, baseCls Classifier, prev *snapshot, ver
 // swap: the age clock starts when the first pending update appears, and the
 // size threshold signals the compactor (non-blocking; signals coalesce).
 func (e *Engine) afterOverlayPublish(ns *snapshot) {
-	oc, ok := ns.cls.(*overlayClassifier)
-	if !ok {
+	if ns.view == nil {
 		e.overlayDirty.Store(0)
 		return
 	}
-	pending := oc.view.OverlayLen() + oc.view.Tombstones()
+	pending := ns.view.OverlayLen() + ns.view.Tombstones()
 	if pending == 0 {
 		e.overlayDirty.Store(0)
 		return
@@ -233,8 +226,7 @@ func (e *Engine) compactOnce() {
 
 	e.mu.Lock()
 	cur := e.snap.Load()
-	oc, ok := cur.cls.(*overlayClassifier)
-	if !ok || oc.view.OverlayLen()+oc.view.Tombstones() == 0 {
+	if cur.view == nil || cur.view.OverlayLen()+cur.view.Tombstones() == 0 {
 		e.mu.Unlock()
 		return
 	}
@@ -245,9 +237,9 @@ func (e *Engine) compactOnce() {
 		e.noteCompactFailure(errCannotCompact(cur.backend))
 		return
 	}
-	frozen := cur.set // the merged list being folded into the new base
 	build := cur.build
 	e.mu.Unlock()
+	frozen := cur.rules() // the merged list being folded into the new base
 
 	t0 := time.Now()
 	cls, err := build(frozen, e.opts)
@@ -266,7 +258,7 @@ func (e *Engine) compactOnce() {
 		// LoadArtifact, a synchronous compaction or a rebuild fallback
 		// swapped in a different rule universe (overlay updates carry the
 		// base pointer forward unchanged, so this only trips on real base
-		// swaps). Rebasing now.set onto the classifier built from the old
+		// swaps). Rebasing now's rules onto the classifier built from the old
 		// list would anchor the wrong rules (artifact IDs overlap), so drop
 		// this build; the next signal compacts against the new base.
 		return
@@ -277,12 +269,12 @@ func (e *Engine) compactOnce() {
 		return
 	}
 	var ns *snapshot
-	if now.set == frozen {
+	if now == cur {
 		// No updates landed during the rebuild: the new base serves directly.
 		ns = &snapshot{cls: cls, baseCls: cls, set: frozen,
 			version: now.version + 1, backend: now.backend, build: now.build, base: base}
 	} else {
-		view, verr := updater.NewView(base, now.set)
+		view, verr := updater.NewView(base, now.rules())
 		if verr != nil {
 			e.noteCompactFailure(verr)
 			return
@@ -323,15 +315,16 @@ func (e *Engine) compactLocked() error {
 		return errCannotCompact(cur.backend)
 	}
 	t0 := time.Now()
-	cls, err := cur.build(cur.set, e.opts)
+	set := cur.rules()
+	cls, err := cur.build(set, e.opts)
 	if err != nil {
 		return fmt.Errorf("engine: compacting: %w", err)
 	}
-	base, err := updater.NewBase(cur.set, cls.Classify, cls.ClassifyBatch)
+	base, err := updater.NewBase(set, cls.Classify, cls.ClassifyBatch)
 	if err != nil {
 		return err
 	}
-	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: cur.set,
+	e.publishSnap(&snapshot{cls: cls, baseCls: cls, set: set,
 		version: cur.version + 1, backend: cur.backend, build: cur.build, base: base})
 	e.compactions.Add(1)
 	e.lastCompactNanos.Store(time.Since(t0).Nanoseconds())
@@ -402,7 +395,7 @@ func (e *Engine) UpdaterStats() UpdaterStats {
 	s := e.snap.Load()
 	st := UpdaterStats{
 		Enabled:          e.updaterOn,
-		Rules:            s.set.Len(),
+		Rules:            s.ruleCount(),
 		Version:          s.version,
 		Compactions:      e.compactions.Load(),
 		Compacting:       e.compacting.Load(),
@@ -413,9 +406,9 @@ func (e *Engine) UpdaterStats() UpdaterStats {
 	if msg := e.lastCompactErr.Load(); msg != nil {
 		st.LastCompactError = *msg
 	}
-	if oc, ok := s.cls.(*overlayClassifier); ok {
-		st.OverlayRules = oc.view.OverlayLen()
-		st.Tombstones = oc.view.Tombstones()
+	if s.view != nil {
+		st.OverlayRules = s.view.OverlayLen()
+		st.Tombstones = s.view.Tombstones()
 	}
 	e.mu.Lock()
 	if e.journal != nil {

@@ -95,8 +95,8 @@ func (e *Engine) classifyChunkTimed(s *snapshot, ps []rule.Packet, out []Result)
 // entries pass ok=false (a span has no single winning rule).
 func (e *Engine) recordSlow(s *snapshot, start time.Time, ns int64, path uint32, packets int32, cacheHit bool, r rule.Rule, ok bool) {
 	overlay := false
-	if oc, isOverlay := s.cls.(*overlayClassifier); isOverlay && ok {
-		overlay = oc.view.FromOverlay(r.ID)
+	if s.view != nil && ok {
+		overlay = s.view.FromOverlay(r.ID)
 	}
 	ruleID := int32(-1)
 	if ok {

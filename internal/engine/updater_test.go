@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"neurocuts/internal/classbench"
 	"neurocuts/internal/rule"
@@ -659,4 +662,119 @@ func TestSideSaveDoesNotRotateJournal(t *testing.T) {
 		t.Fatalf("own-pair checkpoint did not rotate: %d records", st.JournalRecords)
 	}
 	eng.Close()
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOverlayUpdateAllocBound pins the incremental update cost on a
+// 10k-rule hicuts engine: an overlay Insert+Delete pair allocates less than
+// 1/8 of one copy of the rule list, and Metrics, Stats and UpdaterStats do
+// not build the merged list while an update is pending. Rules() does build
+// it on its first call, which shows the measurement would catch a build.
+func TestOverlayUpdateAllocBound(t *testing.T) {
+	const size = 10000
+	listCopy := uint64(size) * uint64(unsafe.Sizeof(rule.Rule{}))
+	set := overlayTestSet(t, size)
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	r := set.Rule(7)
+	pair := func() {
+		res, err := eng.Insert(size/2, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Delete(res.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair() // warm the write path
+	const pairs = 16
+	perPair := allocatedBytes(func() {
+		for i := 0; i < pairs; i++ {
+			pair()
+		}
+	}) / pairs
+	t.Logf("an overlay Insert+Delete pair allocates %d B", perPair)
+	if perPair >= listCopy/8 {
+		t.Errorf("an overlay Insert+Delete pair allocates %d B, want < %d B (1/8 of one %d-rule list copy)",
+			perPair, listCopy/8, size)
+	}
+
+	if _, err := eng.Insert(0, r); err != nil {
+		t.Fatal(err)
+	}
+	if got := allocatedBytes(func() {
+		eng.Metrics()
+		eng.Stats()
+		eng.UpdaterStats()
+	}); got >= listCopy/8 {
+		t.Errorf("Metrics+Stats+UpdaterStats allocate %d B with an update pending: they build the merged list", got)
+	}
+	if got := allocatedBytes(func() { eng.Rules() }); got < listCopy {
+		t.Errorf("Rules() allocates %d B, want >= %d B for building the merged list", got, listCopy)
+	}
+}
+
+// TestOverlayRulesConcurrentCallers: concurrent Rules() callers on one
+// overlay snapshot race to build its merged list. Every caller must get the
+// same *rule.Set, equal to the live list (kept here with rule.Set's own
+// Insert and Remove). CI runs it under -race.
+func TestOverlayRulesConcurrentCallers(t *testing.T) {
+	set := overlayTestSet(t, 300)
+	eng, err := NewEngine("hicuts", set, Options{Shards: 1, OnlineUpdates: true, CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	live := set.Clone()
+	rng := rand.New(rand.NewSource(5))
+	const callers = 8
+	for u := 0; u < 40; u++ {
+		if u%3 == 2 {
+			idx := rng.Intn(live.Len())
+			if _, err := eng.Delete(live.Rule(idx).ID); err != nil {
+				t.Fatal(err)
+			}
+			live.Remove(idx)
+		} else {
+			pos, r := rng.Intn(live.Len()+1), set.Rule(rng.Intn(set.Len()))
+			res, err := eng.Insert(pos, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.ID = res.ID
+			live.Insert(pos, r)
+		}
+		got := make([]*rule.Set, callers)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				got[g] = eng.Rules()
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		for g := range got {
+			if got[g] != got[0] {
+				t.Fatalf("update %d: Rules() callers got different sets", u)
+			}
+		}
+		if !slices.Equal(got[0].Rules(), live.Rules()) {
+			t.Fatalf("update %d: Rules() differs from the live list", u)
+		}
+	}
 }

@@ -1,8 +1,9 @@
 package rule
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Set is an ordered packet classifier: a slice of rules where earlier rules
@@ -26,13 +27,15 @@ func NewSet(rules []Rule) *Set {
 
 // NewSetKeepPriorities builds a classifier from rules that already carry
 // meaningful Priority values, sorting them so that lower Priority comes
-// first. IDs are preserved.
+// first. IDs are preserved. Input already in priority order (merged
+// overlay lists, compiled artifacts) skips the sort.
 func NewSetKeepPriorities(rules []Rule) *Set {
 	s := &Set{rules: make([]Rule, len(rules))}
 	copy(s.rules, rules)
-	sort.SliceStable(s.rules, func(i, j int) bool {
-		return s.rules[i].Priority < s.rules[j].Priority
-	})
+	byPriority := func(a, b Rule) int { return cmp.Compare(a.Priority, b.Priority) }
+	if !slices.IsSortedFunc(s.rules, byPriority) {
+		slices.SortStableFunc(s.rules, byPriority)
+	}
 	return s
 }
 

@@ -53,8 +53,12 @@ func FuzzJournalReplay(f *testing.F) {
 			ops = ops[:2048]
 		}
 		base := rule.NewSet([]rule.Rule{rule.NewWildcardRule(0)})
-		if merged, _, rerr := Replay(base, ops); rerr == nil && merged.Len() < 0 {
-			t.Fatal("impossible")
+		b, err := NewBase(base, base.Match, linearBatch(base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _, rerr := Replay(b.View(), ops); rerr == nil && v.Len() != v.Merged().Len() {
+			t.Fatalf("replayed view length %d, merged list %d", v.Len(), v.Merged().Len())
 		}
 	})
 }

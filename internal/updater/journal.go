@@ -380,40 +380,28 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// Replay applies ops in order to a clone of start and returns the resulting
-// merged list plus the largest rule ID seen (for nextID resumption). A
-// delete of an unknown ID means the journal does not describe this list —
-// an error, not a skip.
-func Replay(start *rule.Set, ops []Op) (*rule.Set, int, error) {
-	next := start.Clone()
+// Replay folds ops in order over v through View.Insert and View.Delete —
+// the same derivation online updates use — and returns the resulting view
+// plus the largest rule ID the ops insert (-1 when none; for nextID
+// resumption). A delete of an unknown ID means the journal does not
+// describe this list — an error naming the record, not a skip.
+func Replay(v *View, ops []Op) (*View, int, error) {
 	maxID := -1
-	for _, r := range next.Rules() {
-		if r.ID > maxID {
-			maxID = r.ID
-		}
-	}
 	for i, op := range ops {
+		var err error
 		switch op.Kind {
 		case OpInsert:
-			next.Insert(op.Pos, op.Rule)
-			if op.ID > maxID {
-				maxID = op.ID
+			if v, err = v.Insert(op.Pos, op.Rule); err != nil {
+				return nil, 0, fmt.Errorf("updater: journal record %d: %w", i, err)
 			}
+			maxID = max(maxID, op.ID)
 		case OpDelete:
-			idx := -1
-			for k, r := range next.Rules() {
-				if r.ID == op.ID {
-					idx = k
-					break
-				}
-			}
-			if idx < 0 {
+			if v, err = v.Delete(op.ID); err != nil {
 				return nil, 0, fmt.Errorf("updater: journal record %d deletes unknown rule %d", i, op.ID)
 			}
-			next.Remove(idx)
 		default:
 			return nil, 0, fmt.Errorf("updater: journal record %d has unknown kind %d", i, op.Kind)
 		}
 	}
-	return next, maxID, nil
+	return v, maxID, nil
 }

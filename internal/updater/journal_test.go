@@ -67,15 +67,15 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("op %d: got %+v want %+v", i, got[i], want[i])
 		}
 	}
-	merged, maxID, err := Replay(set, got)
+	v, maxID, err := Replay(testBase(t, set).View(), got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if maxID < 10000 {
 		t.Fatalf("maxID=%d", maxID)
 	}
-	if merged.Len() != set.Len()+20-10 {
-		t.Fatalf("merged len=%d want %d", merged.Len(), set.Len()+10)
+	if v.Len() != set.Len()+20-10 || v.Merged().Len() != v.Len() {
+		t.Fatalf("merged len=%d/%d want %d", v.Len(), v.Merged().Len(), set.Len()+10)
 	}
 }
 
@@ -220,11 +220,23 @@ func TestJournalRotate(t *testing.T) {
 }
 
 // TestReplayRejectsUnknownDelete: deleting an ID absent from the list means
-// the journal does not describe it — an error, not a silent skip.
+// the journal does not describe it — an error naming the record, not a
+// silent skip. So is a second delete of the same rule, and an unknown op
+// kind.
 func TestReplayRejectsUnknownDelete(t *testing.T) {
 	set := genSet(t, 10, 8)
-	if _, _, err := Replay(set, []Op{{Kind: OpDelete, ID: 123456}}); err == nil {
-		t.Fatal("unknown delete accepted")
+	v := testBase(t, set).View()
+	for _, tc := range []struct {
+		ops  []Op
+		want string
+	}{
+		{[]Op{{Kind: OpDelete, ID: 123456}}, "journal record 0 deletes unknown rule 123456"},
+		{[]Op{{Kind: OpDelete, ID: 3}, {Kind: OpDelete, ID: 3}}, "journal record 1 deletes unknown rule 3"},
+		{[]Op{{Kind: OpDelete, ID: 3}, {Kind: 9}}, "journal record 1 has unknown kind 9"},
+	} {
+		if _, _, err := Replay(v, tc.ops); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("ops %+v: err %v, want %q", tc.ops, err, tc.want)
+		}
 	}
 }
 

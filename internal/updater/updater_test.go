@@ -9,7 +9,7 @@ import (
 
 // testBase builds a Base whose scalar and batched lookups are the set's own
 // linear search (the reference semantics).
-func testBase(t *testing.T, set *rule.Set) *Base {
+func testBase(t testing.TB, set *rule.Set) *Base {
 	t.Helper()
 	b, err := NewBase(set, set.Match, linearBatch(set))
 	if err != nil {
@@ -27,7 +27,7 @@ func linearBatch(set *rule.Set) BatchLookupFunc {
 	}
 }
 
-func genSet(t *testing.T, size int, seed int64) *rule.Set {
+func genSet(t testing.TB, size int, seed int64) *rule.Set {
 	t.Helper()
 	fam, err := classbench.FamilyByName("acl1")
 	if err != nil {

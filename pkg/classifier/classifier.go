@@ -416,8 +416,8 @@ func (c *Classifier) Stats() Stats {
 		Telemetry:      ts,
 		DataplaneCores: dpCores,
 		Backend:        c.eng.Backend(),
-		Rules:          c.eng.Rules().Len(),
-		Version:        c.eng.Version(),
+		Rules:          u.Rules,
+		Version:        u.Version,
 		Metrics:        c.eng.Metrics(),
 		OnlineUpdates:  u.Enabled,
 		PendingUpdates: u.OverlayRules + u.Tombstones,
